@@ -264,7 +264,6 @@ BENCHMARK(BM_SyncTrialReused)->Arg(16)->Arg(64);
 void BM_LaneEngineRing(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   LaneEngineOptions options;
-  options.lanes = 8;
   LaneEngine engine(n, LaneKernelId::kBasicLead, options);
   std::vector<std::uint64_t> seeds(256);
   std::vector<LaneTrialResult> results(seeds.size());
@@ -286,7 +285,6 @@ BENCHMARK(BM_LaneEngineRing)->Arg(32)->Arg(128);
 void BM_LaneEngineRingGeneral(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   LaneEngineOptions options;
-  options.lanes = 8;
   options.fast_paths = false;
   LaneEngine engine(n, LaneKernelId::kBasicLead, options);
   std::vector<std::uint64_t> seeds(256);
@@ -308,7 +306,6 @@ void BM_LaneEngineRingDeviated(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Coalition coalition = Coalition::equally_spaced(n, n / 4, 1);
   LaneEngineOptions options;
-  options.lanes = 8;
   options.fast_paths = false;
   options.deviation.id = LaneDeviationId::kRushing;
   options.deviation.members = coalition.members();
@@ -333,7 +330,6 @@ BENCHMARK(BM_LaneEngineRingDeviated)->Arg(32)->Arg(128);
 void BM_SyncLaneEngine(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   SyncLaneEngineOptions options;
-  options.lanes = 8;
   SyncLaneEngine engine(n, SyncLaneKernelId::kSyncBroadcast, options);
   std::vector<std::uint64_t> seeds(256);
   std::vector<LaneTrialResult> results(seeds.size());

@@ -232,7 +232,6 @@ JsonObject Harness::display_row(const ScenarioSpec& spec, const std::string& lab
       .set("scheduler", to_string(spec.scheduler))
       .set("threads", spec.threads)
       .set("engine", to_string(spec.engine))
-      .set("lanes", spec.lanes)
       .set("target", spec.target)
       .set("fail_rate", result.outcomes.fail_rate())
       .set("target_rate",

@@ -60,11 +60,11 @@ std::optional<TopologyKind> parse_topology(const std::string& name);
 /// Which execution engine serves a scenario's trials (ring and sync
 /// topologies; other runtimes have no lane engines and ignore this).
 ///
-///  * kAuto   — the transcript-digest-guided specializer (api/specialize.h)
-///              routes shapes that dominate the submission to the batched
-///              lane engines when a devirtualized kernel exists — honest or
-///              deviated (basic-single, rushing) ring specs, honest sync
-///              specs — and falls back to the scalar engines elsewhere.
+///  * kAuto   — the specializer (api/specialize.h) routes every spec with
+///              a devirtualized lane kernel to the batched lane engines —
+///              honest or deviated (basic-single, rushing) ring specs,
+///              honest sync specs — and falls back to the scalar engines
+///              elsewhere.
 ///              Results are bit-identical either way (the lane
 ///              differentials gate it), so this is purely a performance
 ///              decision.
@@ -153,8 +153,6 @@ struct ScenarioSpec {
   GraphAdjacency adjacency = GraphAdjacency::kComplete;
   /// Engine selection (see EngineKind); lanes serve ring and sync specs.
   EngineKind engine = EngineKind::kAuto;
-  /// Lane width W for the lane engine; 0 = the default width (8).
-  int lanes = 0;
   /// Generator family behind the processors' random tapes (core/rng.h).
   /// kCtr is opt-in and ring/threaded-only: the counter-based streams are
   /// position-independent but distinct from the Xoshiro reference streams,

@@ -297,7 +297,7 @@ CheckResult check_transcript_replay(ScenarioSpec spec, std::size_t redriven_tria
           std::to_string(redriven) + " codec round-tripped)");
 }
 
-CheckResult check_lane_differential(ScenarioSpec spec, int lanes, int threads) {
+CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
   if (!lane_eligible(spec)) {
     throw std::invalid_argument("check_lane_differential requires a lane-eligible spec: " +
                                 lane_ineligible_reason(spec));
@@ -309,12 +309,9 @@ CheckResult check_lane_differential(ScenarioSpec spec, int lanes, int threads) {
   scalar.engine = EngineKind::kScalar;
   ScenarioSpec laned = spec;
   laned.engine = EngineKind::kLanes;
-  laned.lanes = lanes;
 
   const std::string subject = check_subject(spec);
-  const std::string labels =
-      "scalar vs lanes(w=" + std::to_string(lane_width(laned)) +
-      ", threads=" + std::to_string(threads) + ")";
+  const std::string labels = "scalar vs lanes(threads=" + std::to_string(threads) + ")";
   const ScenarioResult rs = run_scenario(scalar);
   const ScenarioResult rl = run_scenario(laned);
 

@@ -5,10 +5,12 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <typeinfo>
 
 #include "api/registry.h"
 #include "api/specialize.h"
+#include "core/parse_number.h"
 #include "protocols/basic_lead.h"
 #include "verify/checks.h"
 
@@ -42,6 +44,31 @@ CoalitionSpec::Placement parse_placement(const std::string& name) {
   if (name == "cubic-staircase") return CoalitionSpec::Placement::kCubicStaircase;
   if (name == "custom") return CoalitionSpec::Placement::kCustom;
   throw std::invalid_argument("unknown coalition placement '" + name + "'");
+}
+
+/// A numeric spec value: the whole token must parse into T (no trailing
+/// junk, no sign on unsigned fields, in range), else the line is rejected
+/// naming the key and the offending value.
+template <typename T>
+T parse_spec_number(const std::string& key, const std::string& value) {
+  std::optional<T> parsed;
+  if constexpr (std::is_floating_point_v<T>) {
+    parsed = try_parse_double(value);
+  } else {
+    parsed = try_parse_int<T>(value);
+  }
+  if (parsed) return *parsed;
+  const char* kind = std::is_floating_point_v<T> ? "number"
+                     : std::is_signed_v<T>       ? "integer"
+                                                 : "non-negative integer";
+  throw std::invalid_argument("spec key '" + key + "': '" + value + "' is not a valid " +
+                              kind + " in range");
+}
+
+/// A 0/1 spec flag (record=, transcripts=).
+bool parse_spec_flag(const std::string& key, const std::string& value) {
+  if (value == "0" || value == "1") return value == "1";
+  throw std::invalid_argument("spec key '" + key + "': '" + value + "' is not 0 or 1");
 }
 
 SchedulerKind parse_scheduler(const std::string& name) {
@@ -266,20 +293,15 @@ ScenarioSpec generate_spec(Xoshiro256& rng, const FuzzOptions& options) {
   }
 
   // Engine routing and tape generators: a quarter of ring specs opt into
-  // the counter RNG, engine= is sampled over all three kinds (engine=lanes
-  // on an ineligible spec is the clean-rejection path, part of the
-  // surface), and lane widths cover the degenerate w=1 through w=16.
-  // Non-ring topologies sample rng=ctr occasionally too — that must be
-  // cleanly rejected naming the field.
+  // the counter RNG, and engine= is sampled over all three kinds
+  // (engine=lanes on an ineligible spec is the clean-rejection path, part
+  // of the surface).  Non-ring topologies sample rng=ctr occasionally too
+  // — that must be cleanly rejected naming the field.
   if (rng.below(4) == 0) spec.rng = RngKind::kCtr;
   if (rng.below(3) == 0) {
     static const std::vector<EngineKind> kEngines = {
         EngineKind::kAuto, EngineKind::kScalar, EngineKind::kLanes};
     spec.engine = pick(rng, kEngines);
-  }
-  if (rng.below(3) == 0) {
-    static const std::vector<int> kLaneWidths = {1, 4, 8, 16};
-    spec.lanes = pick(rng, kLaneWidths);
   }
 
   // Half the specs carry a deviation — sampled over *all* registered
@@ -383,7 +405,7 @@ std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
   // deviated (basic-single, rushing) ring, honest sync — must produce the
   // same executions on the batched lane engines as on the scalar runtimes
   // — per-trial outcomes, aggregates, and transcript digests (the fuzzed
-  // rng= and lanes= fields ride through both runs).
+  // rng= field rides through both runs).
   if (lane_eligible(spec)) {
     ScenarioSpec scalar = spec;
     scalar.engine = EngineKind::kScalar;
@@ -545,10 +567,9 @@ ScenarioSpec shrink_spec(ScenarioSpec spec, const FuzzOracle& oracle) {
         return c;
       },
       [](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-        if (s.engine == EngineKind::kAuto && s.lanes == 0) return std::nullopt;
+        if (s.engine == EngineKind::kAuto) return std::nullopt;
         ScenarioSpec c = s;
         c.engine = EngineKind::kAuto;
-        c.lanes = 0;
         return c;
       },
       [](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
@@ -734,7 +755,6 @@ std::string format_spec(const ScenarioSpec& spec) {
     out << " adjacency=" << to_string(spec.adjacency);
   }
   if (spec.engine != defaults.engine) out << " engine=" << to_string(spec.engine);
-  if (spec.lanes != defaults.lanes) out << " lanes=" << spec.lanes;
   if (spec.rng != defaults.rng) out << " rng=" << to_string(spec.rng);
   if (spec.protocol_key != defaults.protocol_key) {
     out << " protocol_key=" << spec.protocol_key;
@@ -773,38 +793,38 @@ ScenarioSpec parse_spec(const std::string& line) {
       std::istringstream members(value);
       std::string id;
       while (std::getline(members, id, ',')) {
-        spec.coalition.members.push_back(std::stoi(id));
+        spec.coalition.members.push_back(parse_spec_number<ProcessorId>(key, id));
       }
     } else if (key == "density") {
-      spec.coalition.density = std::stod(value);
+      spec.coalition.density = parse_spec_number<double>(key, value);
     } else if (key == "placement_seed") {
-      spec.coalition.placement_seed = std::stoull(value);
+      spec.coalition.placement_seed = parse_spec_number<std::uint64_t>(key, value);
     } else if (key == "k") {
-      spec.coalition.k = std::stoi(value);
+      spec.coalition.k = parse_spec_number<int>(key, value);
     } else if (key == "first") {
-      spec.coalition.first = std::stoi(value);
+      spec.coalition.first = parse_spec_number<ProcessorId>(key, value);
     } else if (key == "target") {
-      spec.target = std::stoull(value);
+      spec.target = parse_spec_number<Value>(key, value);
     } else if (key == "scheduler") {
       spec.scheduler = parse_scheduler(value);
     } else if (key == "n") {
-      spec.n = std::stoi(value);
+      spec.n = parse_spec_number<int>(key, value);
     } else if (key == "trials") {
-      spec.trials = std::stoull(value);
+      spec.trials = parse_spec_number<std::size_t>(key, value);
     } else if (key == "seed") {
-      spec.seed = std::stoull(value);
+      spec.seed = parse_spec_number<std::uint64_t>(key, value);
     } else if (key == "trial_offset") {
-      spec.trial_offset = std::stoull(value);
+      spec.trial_offset = parse_spec_number<std::size_t>(key, value);
     } else if (key == "trial_count") {
-      spec.trial_count = std::stoull(value);
+      spec.trial_count = parse_spec_number<std::size_t>(key, value);
     } else if (key == "step_limit") {
-      spec.step_limit = std::stoull(value);
+      spec.step_limit = parse_spec_number<std::uint64_t>(key, value);
     } else if (key == "threads") {
-      spec.threads = std::stoi(value);
+      spec.threads = parse_spec_number<int>(key, value);
     } else if (key == "record") {
-      spec.record_outcomes = value != "0";
+      spec.record_outcomes = parse_spec_flag(key, value);
     } else if (key == "transcripts") {
-      spec.record_transcripts = value != "0";
+      spec.record_transcripts = parse_spec_flag(key, value);
     } else if (key == "adjacency") {
       const auto adjacency = parse_adjacency(value);
       if (!adjacency) throw std::invalid_argument("unknown adjacency '" + value + "'");
@@ -813,24 +833,22 @@ ScenarioSpec parse_spec(const std::string& line) {
       const auto engine = parse_engine(value);
       if (!engine) throw std::invalid_argument("unknown engine '" + value + "'");
       spec.engine = *engine;
-    } else if (key == "lanes") {
-      spec.lanes = std::stoi(value);
     } else if (key == "rng") {
       const auto kind = parse_rng(value);
       if (!kind) throw std::invalid_argument("unknown rng '" + value + "'");
       spec.rng = *kind;
     } else if (key == "protocol_key") {
-      spec.protocol_key = std::stoull(value);
+      spec.protocol_key = parse_spec_number<std::uint64_t>(key, value);
     } else if (key == "param_l") {
-      spec.param_l = std::stoi(value);
+      spec.param_l = parse_spec_number<int>(key, value);
     } else if (key == "search_cap") {
-      spec.search_cap = std::stoull(value);
+      spec.search_cap = parse_spec_number<std::uint64_t>(key, value);
     } else if (key == "prefix") {
-      spec.prefix = std::stoi(value);
+      spec.prefix = parse_spec_number<int>(key, value);
     } else if (key == "rounds") {
-      spec.rounds = std::stoi(value);
+      spec.rounds = parse_spec_number<int>(key, value);
     } else if (key == "tamper_send") {
-      spec.tamper_send = std::stoull(value);
+      spec.tamper_send = parse_spec_number<std::uint64_t>(key, value);
     } else {
       throw std::invalid_argument("unknown spec key '" + key + "'");
     }

@@ -235,11 +235,11 @@ TEST(ZeroAllocation, ReusedSyncTrialSubstrateIsAllocationFree) {
 
 TEST(ZeroAllocation, LaneEngineWindowIsAllocationFree) {
   // The batched lane path (DESIGN.md §10) shares the zero-allocation
-  // contract: once the SoA arrays and per-lane control blocks are warm, a
-  // whole trial window — refills, retirements and all — allocates nothing.
+  // contract: once the SoA columns and the trial control block are warm, a
+  // whole trial window — column resets, retirements and all — allocates
+  // nothing.
   const int n = 32;
   LaneEngineOptions options;
-  options.lanes = 8;
   for (const LaneKernelId kernel :
        {LaneKernelId::kBasicLead, LaneKernelId::kChangRoberts, LaneKernelId::kALeadUni}) {
     LaneEngine engine(n, kernel, options);
@@ -264,7 +264,6 @@ TEST(ZeroAllocation, LaneEngineGeneralPathWindowIsAllocationFree) {
   // touch the allocator.
   const int n = 32;
   LaneEngineOptions options;
-  options.lanes = 8;
   options.fast_paths = false;
   for (const LaneKernelId kernel :
        {LaneKernelId::kBasicLead, LaneKernelId::kChangRoberts, LaneKernelId::kALeadUni}) {
@@ -288,7 +287,6 @@ TEST(ZeroAllocation, DeviatedLaneWindowIsAllocationFree) {
   // padding sends) reuse the same flat storage.
   const int n = 12;
   LaneEngineOptions options;
-  options.lanes = 4;
   options.fast_paths = false;
   options.deviation.id = LaneDeviationId::kRushing;
   options.deviation.members = {1, 4, 7, 10};
@@ -310,11 +308,10 @@ TEST(ZeroAllocation, DeviatedLaneWindowIsAllocationFree) {
 }
 
 TEST(ZeroAllocation, SyncLaneWindowIsAllocationFree) {
-  // The sync lanes keep every per-(lane, processor) register and both
-  // round boxes in flat columns sized at construction.
+  // The sync lanes keep every per-processor register and both round boxes
+  // in flat columns sized at construction.
   const int n = 16;
   SyncLaneEngineOptions options;
-  options.lanes = 8;
   for (const SyncLaneKernelId kernel :
        {SyncLaneKernelId::kSyncBroadcast, SyncLaneKernelId::kSyncRing}) {
     SyncLaneEngine engine(n, kernel, options);

@@ -122,6 +122,26 @@ TEST(FuzzRepro, ParseRejectsMalformedLines) {
   EXPECT_THROW(parse_spec("topology=nowhere protocol=x n=4 trials=1 seed=1"),
                std::invalid_argument);
   EXPECT_THROW(parse_spec("topology=ring n=4 trials=1 seed=1"), std::invalid_argument);
+  // Numeric fields parse whole or not at all, and the error names the key;
+  // a key the spec does not have (lanes=) is rejected by name too.
+  const struct {
+    const char* line;
+    const char* key;
+  } rejected[] = {
+      {"topology=ring protocol=basic-lead n=12junk trials=1 seed=1", "'n'"},
+      {"topology=ring protocol=basic-lead n=4 trials=1 seed=99999999999999999999999", "'seed'"},
+      {"topology=ring protocol=basic-lead n=4 trials=-5 seed=1", "'trials'"},
+      {"topology=ring protocol=basic-lead n=4 trials=1 seed=1 lanes=8", "'lanes'"},
+  };
+  for (const auto& c : rejected) {
+    try {
+      parse_spec(c.line);
+      ADD_FAILURE() << "accepted: " << c.line;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(c.key), std::string::npos)
+          << c.line << " -> " << error.what();
+    }
+  }
 }
 
 TEST(FuzzRepro, WindowAndKnobFieldsRoundTrip) {
