@@ -305,7 +305,6 @@ std::vector<ScenarioResult> Harness::run_sweep(SweepSpec sweep,
                                               static_cast<std::size_t>(-1));
   SweepSpec windowed;
   windowed.threads = sweep.threads;
-  windowed.chunk = sweep.chunk;
   for (std::size_t i = 0; i < sweep.scenarios.size(); ++i) {
     ScenarioSpec spec = sweep.scenarios[i];
     const std::size_t case_index = case_counter_++;

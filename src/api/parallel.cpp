@@ -10,16 +10,7 @@
 #include <string>
 #include <thread>
 
-#include "core/rng.h"
-
 namespace fle {
-
-std::uint64_t scenario_trial_seed(std::uint64_t base_seed, std::size_t trial) {
-  // The splitmix64 stream of base_seed: state after trial+1 golden-gamma
-  // increments, finalized.  Equivalent to calling splitmix64 trial+1 times,
-  // but random-access so workers can seed any trial independently.
-  return mix64(base_seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(trial) + 1));
-}
 
 std::size_t executor_auto_chunk(std::size_t trials, std::size_t workers) {
   workers = std::max<std::size_t>(workers, 1);
@@ -63,8 +54,6 @@ struct Executor::Submission {
   std::size_t max_workers = 1;
   std::size_t joined = 1;  ///< worker slots handed out (slot 0 = submitter)
   std::size_t active = 0;  ///< pool workers currently inside execute_jobs
-  /// Per-submission workspaces for zero-key batches: [worker_slot][batch].
-  std::vector<std::vector<std::shared_ptr<void>>> scratch;
   std::exception_ptr error;
   std::mutex error_mutex;
 };
@@ -106,7 +95,7 @@ void Executor::ensure_pool(std::size_t workers) {
   }
 }
 
-void Executor::execute_jobs(Submission& submission, std::size_t worker_slot) {
+void Executor::execute_jobs(Submission& submission) {
   for (;;) {
     const std::size_t j = submission.cursor.fetch_add(1, std::memory_order_relaxed);
     if (j >= submission.jobs.size()) return;
@@ -115,28 +104,12 @@ void Executor::execute_jobs(Submission& submission, std::size_t worker_slot) {
     // exact, the error is rethrown by the submitter.
     if (!submission.failed.load(std::memory_order_relaxed)) {
       try {
-        Batch& batch = *job.batch;
-        std::shared_ptr<void> keepalive;
-        void* workspace = nullptr;
+        const Batch& batch = *job.batch;
+        std::shared_ptr<void> workspace;
         if (batch.make_workspace) {
-          if (batch.workspace.family != 0) {
-            keepalive = cached_workspace(batch.workspace, batch.make_workspace);
-          } else {
-            auto& slot = submission.scratch[worker_slot][job.batch_index];
-            if (!slot) slot = batch.make_workspace();
-            keepalive = slot;
-          }
-          workspace = keepalive.get();
+          workspace = cached_workspace(batch.workspace, batch.make_workspace);
         }
-        if (batch.chunk_body) {
-          batch.chunk_body(job.begin, job.end, workspace);
-        } else {
-          for (std::size_t t = job.begin; t < job.end; ++t) {
-            const std::size_t global = batch.trial_offset + t;
-            (*batch.out)[t] =
-                batch.body(global, scenario_trial_seed(batch.base_seed, global), workspace);
-          }
-        }
+        batch.body(job.begin, job.end, workspace.get());
       } catch (...) {
         const std::lock_guard<std::mutex> lock(submission.error_mutex);
         if (!submission.error) submission.error = std::current_exception();
@@ -152,7 +125,6 @@ void Executor::worker_main() {
   std::uint64_t seen = 0;
   for (;;) {
     Submission* submission = nullptr;
-    std::size_t slot = 0;
     {
       std::unique_lock<std::mutex> lock(impl_->mutex);
       impl_->work_cv.wait(lock, [&] {
@@ -162,10 +134,10 @@ void Executor::worker_main() {
       seen = impl_->generation;
       submission = impl_->current;
       if (submission->joined >= submission->max_workers) continue;
-      slot = submission->joined++;
+      ++submission->joined;
       ++submission->active;
     }
-    execute_jobs(*submission, slot);
+    execute_jobs(*submission);
     {
       const std::lock_guard<std::mutex> lock(impl_->mutex);
       --submission->active;
@@ -174,7 +146,7 @@ void Executor::worker_main() {
   }
 }
 
-void Executor::run(std::span<Batch> batches, int threads, std::size_t chunk) {
+void Executor::run(std::span<Batch> batches, int threads) {
   if (threads < 0) {
     throw std::invalid_argument("threads must be >= 0 (0 = hardware concurrency); got " +
                                 std::to_string(threads));
@@ -188,32 +160,19 @@ void Executor::run(std::span<Batch> batches, int threads, std::size_t chunk) {
   want = std::min(want, total_trials);
 
   Submission submission;
-  submission.max_workers = want;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    Batch& batch = batches[b];
-    if (batch.trials == 0) continue;
-    if (batch.out == nullptr || batch.out->size() != batch.trials) {
-      throw std::invalid_argument(
-          "Executor::Batch.out must be pre-sized to Batch.trials");
-    }
-    // Auto chunking: enough jobs for every worker to get several, capped so
-    // tiny scenarios still split and huge ones don't flood the queue.
-    std::size_t job_size = chunk;
-    if (job_size == 0) job_size = executor_auto_chunk(batch.trials, want);
+  for (Batch& batch : batches) {
+    const std::size_t job_size = executor_auto_chunk(batch.trials, want);
     for (std::size_t begin = 0; begin < batch.trials; begin += job_size) {
-      submission.jobs.push_back(
-          Job{&batch, b, begin, std::min(begin + job_size, batch.trials)});
+      submission.jobs.push_back(Job{&batch, begin, std::min(begin + job_size, batch.trials)});
     }
   }
-  if (submission.jobs.empty()) return;
   want = std::min(want, submission.jobs.size());
   submission.max_workers = want;
-  submission.scratch.assign(want, std::vector<std::shared_ptr<void>>(batches.size()));
 
   // Inline paths: single worker, or a body re-entering the executor (a pool
   // worker or an already-submitting thread) — execute on this thread.
   if (want <= 1 || t_inside_executor) {
-    execute_jobs(submission, 0);
+    execute_jobs(submission);
     if (submission.error) std::rethrow_exception(submission.error);
     return;
   }
@@ -228,7 +187,7 @@ void Executor::run(std::span<Batch> batches, int threads, std::size_t chunk) {
   impl_->work_cv.notify_all();
 
   t_inside_executor = true;
-  execute_jobs(submission, 0);
+  execute_jobs(submission);
   t_inside_executor = false;
 
   {
@@ -241,33 +200,6 @@ void Executor::run(std::span<Batch> batches, int threads, std::size_t chunk) {
     impl_->current = nullptr;
   }
   if (submission.error) std::rethrow_exception(submission.error);
-}
-
-std::vector<TrialStats> run_trials_parallel(
-    std::size_t trials, int threads, std::uint64_t base_seed,
-    const std::function<TrialStats(std::size_t, std::uint64_t)>& body) {
-  return run_trials_parallel(
-      trials, threads, base_seed, WorkspaceFactory{},
-      [&body](std::size_t trial, std::uint64_t trial_seed, void* /*workspace*/) {
-        return body(trial, trial_seed);
-      });
-}
-
-std::vector<TrialStats> run_trials_parallel(
-    std::size_t trials, int threads, std::uint64_t base_seed,
-    const WorkspaceFactory& make_workspace,
-    const std::function<TrialStats(std::size_t, std::uint64_t, void*)>& body) {
-  std::vector<TrialStats> results(trials);
-  if (trials == 0) return results;
-  Executor::Batch batch;
-  batch.trials = trials;
-  batch.trial_offset = 0;
-  batch.base_seed = base_seed;
-  batch.make_workspace = make_workspace;
-  batch.body = body;
-  batch.out = &results;
-  Executor::shared().run(std::span<Executor::Batch>(&batch, 1), threads);
-  return results;
 }
 
 }  // namespace fle

@@ -282,35 +282,57 @@ void ScenarioResult::merge(const ScenarioResult& other) {
 
 namespace {
 
+/// Per-trial measurements every runtime can produce (unused fields stay 0).
+struct TrialStats {
+  Outcome outcome;                ///< default-constructed = FAIL
+  std::uint64_t messages = 0;     ///< total sends
+  std::uint64_t sync_gap = 0;     ///< ring engine synchronization gap
+  int rounds = 0;                 ///< sync engine rounds
+};
+
 /// One scenario, prepared for the executor: normalized spec copy, trial
-/// window, the trial body (owning its factories via by-value captures plus
-/// a pointer back to this heap-stable job), and the result skeleton with
-/// display names resolved.  run_scenario builds one; run_sweep builds many
-/// and submits them together.
+/// window, per-trial slots, the executor batch (whose body points back at
+/// this job, so the job must stay put while it runs), and the result
+/// skeleton with display names resolved.  run_scenario builds one;
+/// run_sweep builds many and submits them together.
 struct ScenarioJob {
   ScenarioSpec spec;
   TrialWindow window;
   ScenarioResult result{1};
+  /// Per-trial slots indexed by local trial (global - window.first); a
+  /// body writes only the slots of the chunk it was handed.
   std::vector<TrialStats> stats;
-  /// Per-trial transcript slots (record_transcripts only), indexed by local
-  /// trial (global - window.first); each worker writes only its own slot,
-  /// exactly like stats.
+  /// Per-trial transcript slots (record_transcripts only), indexed like
+  /// stats.
   std::vector<ExecutionTranscript> transcripts;
-  WorkspaceKey workspace_key{};
-  WorkspaceFactory make_workspace;
-  Executor::TrialBody body;
-  Executor::ChunkBody chunk_body;  ///< lane-routed jobs: whole-window body
+  Executor::Batch batch;
 
-  /// The transcript slot for global trial `trial`, or nullptr when the
-  /// spec does not record.  The slot is cleared for the trial (reused
-  /// slots keep their capacity).
-  ExecutionTranscript* transcript_slot(std::size_t trial) {
+  /// Seed of local trial `t`: keyed by its global index, so a window seeds
+  /// exactly like the same trials of the monolithic run.
+  [[nodiscard]] std::uint64_t trial_seed(std::size_t t) const {
+    return scenario_trial_seed(spec.seed, window.first + t);
+  }
+
+  /// The transcript slot for local trial `t`, or nullptr when the spec
+  /// does not record.  The slot is cleared for the trial (reused slots
+  /// keep their capacity).
+  ExecutionTranscript* transcript_slot(std::size_t t) {
     if (!spec.record_transcripts) return nullptr;
-    ExecutionTranscript& slot = transcripts[trial - window.first];
+    ExecutionTranscript& slot = transcripts[t];
     slot.clear();
     return &slot;
   }
 };
+
+/// Copies the spec into the job and sizes the per-trial slots and the
+/// batch to its trial window.
+void size_job(ScenarioJob& job, const ScenarioSpec& spec) {
+  job.spec = spec;
+  job.window = scenario_trial_window(spec);
+  job.stats.resize(job.window.count);
+  if (spec.record_transcripts) job.transcripts.resize(job.window.count);
+  job.batch.trials = job.window.count;
+}
 
 /// Workspace cache families (api/parallel.h WorkspaceKey); scenarios with
 /// the same (family, n) share cached engines per executor thread.  Graph
@@ -360,19 +382,6 @@ void reduce_job(ScenarioJob& job) {
   }
 }
 
-Executor::Batch batch_of(ScenarioJob& job) {
-  Executor::Batch batch;
-  batch.trials = job.window.count;
-  batch.trial_offset = job.window.first;
-  batch.base_seed = job.spec.seed;
-  batch.workspace = job.workspace_key;
-  batch.make_workspace = job.make_workspace;
-  batch.body = job.body;
-  batch.chunk_body = job.chunk_body;
-  batch.out = &job.stats;
-  return batch;
-}
-
 /// The spec's explicit step limit, or the default slack over the protocol's
 /// honest message bound (shared by the ring and graph runtimes).
 std::uint64_t derived_step_limit(std::uint64_t requested, std::uint64_t honest_bound) {
@@ -386,14 +395,29 @@ void require_n(const ScenarioSpec& spec, int minimum) {
   }
 }
 
+/// Sync scenarios read step_limit as a round limit.
+void require_round_limit_fits(const ScenarioSpec& spec) {
+  if (spec.step_limit > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument("sync scenarios interpret step_limit as a round limit; " +
+                                std::to_string(spec.step_limit) + " does not fit in int");
+  }
+}
+
+/// The spec's explicit round limit, or the protocol's round_bound(n).
+int sync_round_limit(const ScenarioSpec& spec, const SyncProtocol& protocol) {
+  return spec.step_limit != 0 ? static_cast<int>(spec.step_limit)
+                              : protocol.round_bound(spec.n);
+}
+
 /// Per-worker workspace (DESIGN.md §4): one engine + one strategy arena,
 /// cached per executor thread under (family, n) and reused across every
-/// trial — and, since PR 4, across scenarios of the same shape.  The engine
-/// is (re)built only when its shape (step/round limit, scheduler) changes
-/// and rearmed with reset() otherwise, so steady-state trials perform no
-/// engine allocations.
-template <typename Engine, typename Strategy>
+/// trial and across scenarios of the same shape.  The engine is (re)built
+/// only when its shape (step/round limit, scheduler) changes and rearmed
+/// with reset() otherwise, so steady-state trials perform no engine
+/// allocations.
+template <typename Engine, typename StrategyType>
 struct EngineWorkspace {
+  using Strategy = StrategyType;
   std::unique_ptr<Engine> engine;
   StrategyArena arena;
   std::vector<Strategy*> profile;
@@ -421,87 +445,221 @@ void require_rng_supported(const ScenarioSpec& spec) {
   }
 }
 
+/// Adapts a per-trial runtime to the executor's chunk body: runs local
+/// trials [begin, end) in order, each under its own seed, and stores each
+/// trial's stats in its slot.  `trial(t, seed, workspace)` runs local
+/// trial t.
+template <typename Trial>
+Executor::Body per_trial_body(ScenarioJob& job, Trial trial) {
+  ScenarioJob* j = &job;
+  return [j, trial = std::move(trial)](std::size_t begin, std::size_t end, void* workspace) {
+    for (std::size_t t = begin; t < end; ++t) {
+      j->stats[t] = trial(t, j->trial_seed(t), workspace);
+    }
+  };
+}
+
+/// Resolves a registry (protocol, deviation) pair into one runtime
+/// family's factories, rejecting entries without a factory for `family`:
+/// per_trial protocols are rebuilt from each trial's seed (their deviation
+/// with them); deterministic ones are built once, here, and shared
+/// read-only by every worker.
+template <typename Protocol, typename Dev>
+TrialFactories<Protocol, Dev> registry_factories(
+    const ScenarioJob& job, const std::string& family, const ProtocolEntry& protocol_entry,
+    const DeviationEntry* deviation_entry,
+    std::function<std::unique_ptr<Protocol>(const ScenarioSpec&, std::uint64_t)>
+        ProtocolEntry::*protocol_factory,
+    std::function<std::unique_ptr<Dev>(const Protocol&, const ScenarioSpec&)>
+        DeviationEntry::*deviation_factory) {
+  const auto* make_protocol = &(protocol_entry.*protocol_factory);
+  if (!*make_protocol) {
+    throw std::invalid_argument("protocol '" + protocol_entry.name + "' does not run on the " +
+                                family + " topology");
+  }
+  const auto* make_deviation = deviation_entry ? &(deviation_entry->*deviation_factory) : nullptr;
+  if (make_deviation && !*make_deviation) {
+    throw std::invalid_argument("deviation '" + deviation_entry->name + "' does not apply to " +
+                                family + " protocols");
+  }
+  const ScenarioSpec* spec = &job.spec;
+  TrialFactories<Protocol, Dev> factories;
+  if (protocol_entry.per_trial) {
+    factories.protocol = [spec, make_protocol](std::uint64_t trial_seed) {
+      return std::shared_ptr<const Protocol>((*make_protocol)(*spec, trial_seed));
+    };
+    if (make_deviation) {
+      factories.deviation = [spec, make_deviation](const Protocol& protocol, std::uint64_t) {
+        return std::shared_ptr<const Dev>((*make_deviation)(protocol, *spec));
+      };
+    }
+    return factories;
+  }
+  const std::shared_ptr<const Protocol> shared_protocol = (*make_protocol)(*spec, spec->seed);
+  factories.protocol = [shared_protocol](std::uint64_t) { return shared_protocol; };
+  if (make_deviation) {
+    const std::shared_ptr<const Dev> shared_deviation =
+        (*make_deviation)(*shared_protocol, *spec);
+    factories.deviation = [shared_deviation](const Protocol&, std::uint64_t) {
+      return shared_deviation;
+    };
+  }
+  return factories;
+}
+
+/// The factory-driven runtimes' shared skeleton: resolves the display names
+/// from one representative instance under the base seed, before any worker
+/// runs, then runs every trial with that trial's protocol and deviation.
+/// `run(t, seed, workspace, protocol, deviation)` returns the trial's stats.
+template <typename Protocol, typename Dev, typename Run>
+void fill_factory_job(ScenarioJob& job, TrialFactories<Protocol, Dev> factories, Run run) {
+  job.result = ScenarioResult(job.spec.n);
+  {
+    const std::shared_ptr<const Protocol> named = factories.protocol(job.spec.seed);
+    job.result.protocol_name = named->name();
+    if (factories.deviation) {
+      const std::shared_ptr<const Dev> dev = factories.deviation(*named, job.spec.seed);
+      if (dev) job.result.deviation_name = dev->name();
+    }
+  }
+  job.batch.body = per_trial_body(
+      job, [factories = std::move(factories), run = std::move(run)](
+               std::size_t t, std::uint64_t seed, void* workspace) {
+        const std::shared_ptr<const Protocol> protocol = factories.protocol(seed);
+        std::shared_ptr<const Dev> deviation;
+        if (factories.deviation) deviation = factories.deviation(*protocol, seed);
+        return run(t, seed, workspace, *protocol, deviation.get());
+      });
+}
+
+/// A scalar engine runtime on a cached EngineWorkspace.  The workspace may
+/// come from another scenario with the same key, so `arm(engine, protocol,
+/// seed)` rebuilds the engine whenever it is missing or its shape differs,
+/// and reset()s it otherwise; `measure(engine, stats)` maps the engine's
+/// stats into the trial's.
+template <typename Workspace, typename Protocol, typename Dev, typename Arm, typename Measure>
+void fill_engine_job(ScenarioJob& job, int family, TrialFactories<Protocol, Dev> factories,
+                     Arm arm, Measure measure) {
+  ScenarioJob* j = &job;
+  fill_factory_job(
+      job, std::move(factories),
+      [j, arm = std::move(arm), measure = std::move(measure)](
+          std::size_t t, std::uint64_t seed, void* raw, const Protocol& protocol,
+          const Dev* deviation) {
+        auto& ws = *static_cast<Workspace*>(raw);
+        arm(ws.engine, protocol, seed);
+        // Always (re)point the hook: a cached engine may carry the previous
+        // scenario's transcript pointer.
+        ws.engine->set_transcript(j->transcript_slot(t));
+        ws.arena.rewind();
+        compose_profile_into(protocol, deviation, j->spec.n, ws.arena, ws.profile);
+        TrialStats stats;
+        stats.outcome =
+            ws.engine->run(std::span<typename Workspace::Strategy* const>(ws.profile));
+        ws.engine->set_transcript(nullptr);  // the slot vector outlives no one
+        measure(*ws.engine, stats);
+        return stats;
+      });
+  job.batch.workspace = WorkspaceKey{family, job.spec.n};
+  job.batch.make_workspace = workspace_factory<Workspace>();
+}
+
 void fill_ring_job(ScenarioJob& job, RingTrialFactories factories) {
   const ScenarioSpec& spec = job.spec;
   require_n(spec, 2);
   require_rng_supported(spec);
-  job.result = ScenarioResult(spec.n);
-  {
-    const auto named = factories.protocol(spec.seed);
-    job.result.protocol_name = named->name();
-    if (factories.deviation) {
-      const auto dev = factories.deviation(*named, spec.seed);
-      if (dev) job.result.deviation_name = dev->name();
-    }
-  }
-
-  const bool threaded = spec.topology == TopologyKind::kThreaded;
   ScenarioJob* j = &job;
-  job.body = [j, factories = std::move(factories), threaded](
-                 std::size_t trial, std::uint64_t trial_seed, void* raw) -> TrialStats {
-    const ScenarioSpec& spec = j->spec;
-    const std::shared_ptr<const RingProtocol> protocol = factories.protocol(trial_seed);
-    std::shared_ptr<const Deviation> deviation;
-    if (factories.deviation) deviation = factories.deviation(*protocol, trial_seed);
-    TrialStats stats;
-    if (threaded) {
-      // One OS thread per processor: the runtime's whole point is fresh
-      // threads, so there is nothing to reuse.
-      ThreadedRuntimeOptions options;
-      options.send_limit = scenario_ring_step_limit(spec, *protocol);
-      ThreadedRuntime runtime(spec.n, trial_seed, options);
-      stats.outcome = runtime.run(compose_strategies(*protocol, deviation.get(), spec.n));
-      stats.messages = runtime.stats().total_sent;
-    } else {
-      auto& ws = *static_cast<RingWorkspace*>(raw);
-      const std::uint64_t step_limit = scenario_ring_step_limit(spec, *protocol);
-      // The workspace may come from another scenario with the same (ring, n)
-      // key: rebuild whenever the engine shape differs, not just on first use.
-      if (!ws.engine || ws.engine->step_limit() != step_limit ||
-          ws.engine->scheduler_kind() != spec.scheduler ||
-          ws.engine->rng_kind() != spec.rng) {
+  if (spec.topology == TopologyKind::kThreaded) {
+    // One OS thread per processor: the runtime's whole point is fresh
+    // threads, so there is nothing to reuse.
+    fill_factory_job(job, std::move(factories),
+                     [j](std::size_t, std::uint64_t seed, void*, const RingProtocol& protocol,
+                         const Deviation* deviation) {
+                       ThreadedRuntimeOptions options;
+                       options.send_limit = scenario_ring_step_limit(j->spec, protocol);
+                       ThreadedRuntime runtime(j->spec.n, seed, options);
+                       TrialStats stats;
+                       stats.outcome =
+                           runtime.run(compose_strategies(protocol, deviation, j->spec.n));
+                       stats.messages = runtime.stats().total_sent;
+                       return stats;
+                     });
+    return;
+  }
+  fill_engine_job<RingWorkspace>(
+      job, kRingFamily, std::move(factories),
+      [j](std::unique_ptr<RingEngine>& engine, const RingProtocol& protocol, std::uint64_t seed) {
+        const ScenarioSpec& spec = j->spec;
+        const std::uint64_t step_limit = scenario_ring_step_limit(spec, protocol);
+        if (engine && engine->step_limit() == step_limit &&
+            engine->scheduler_kind() == spec.scheduler && engine->rng_kind() == spec.rng) {
+          engine->reset(seed);
+          return;
+        }
         EngineOptions options;
         options.step_limit = step_limit;
         options.scheduler_kind = spec.scheduler;
         options.rng = spec.rng;
-        ws.engine = std::make_unique<RingEngine>(spec.n, trial_seed, std::move(options));
-      } else {
-        ws.engine->reset(trial_seed);
-      }
-      // Always (re)point the hook: a cached engine may carry the previous
-      // scenario's transcript pointer.
-      ws.engine->set_transcript(j->transcript_slot(trial));
-      ws.arena.rewind();
-      compose_profile_into(*protocol, deviation.get(), spec.n, ws.arena, ws.profile);
-      stats.outcome = ws.engine->run(std::span<RingStrategy* const>(ws.profile));
-      ws.engine->set_transcript(nullptr);  // the slot vector outlives no one
-      stats.messages = ws.engine->stats().total_sent;
-      stats.sync_gap = ws.engine->stats().max_sync_gap;
-    }
-    return stats;
-  };
-  if (!threaded) {
-    job.workspace_key = WorkspaceKey{kRingFamily, spec.n};
-    job.make_workspace = workspace_factory<RingWorkspace>();
-  }
+        engine = std::make_unique<RingEngine>(spec.n, seed, std::move(options));
+      },
+      [](const RingEngine& engine, TrialStats& stats) {
+        stats.messages = engine.stats().total_sent;
+        stats.sync_gap = engine.stats().max_sync_gap;
+      });
 }
 
-/// Per-worker lane workspace: one LaneEngine plus the window-shaped seed /
-/// result / transcript-pointer staging vectors, cached under
-/// (kLaneFamily, n) like every other engine workspace and rebuilt only
-/// when the engine shape changes.
+/// Per-worker lane workspace: one batched lane engine plus the
+/// window-shaped seed / result / transcript-pointer staging vectors, cached
+/// under the lane family's key like every other engine workspace.
+template <typename Engine>
 struct LaneWorkspace {
-  std::unique_ptr<LaneEngine> engine;
+  std::unique_ptr<Engine> engine;
   std::vector<std::uint64_t> seeds;
   std::vector<LaneTrialResult> results;
   std::vector<ExecutionTranscript*> transcripts;
 };
 
+/// The two lane builders' shared body: each chunk runs as one window on a
+/// batched lane engine.  `fits(engine)` says whether a cached engine (its
+/// n fixed by the workspace key) has this job's shape; `build()` makes one
+/// that does.  The window's seeds and
+/// transcript slots are staged, run_window executes them, and each trial's
+/// result lands in its stats slot (ring lanes report rounds = 0 and sync
+/// lanes sync_gap = 0, like their scalar runtimes).
+template <typename Engine, typename Fits, typename Build>
+void fill_lane_body(ScenarioJob& job, int family, Fits fits, Build build) {
+  ScenarioJob* j = &job;
+  job.batch.body = [j, fits = std::move(fits), build = std::move(build)](
+                       std::size_t begin, std::size_t end, void* raw) {
+    auto& ws = *static_cast<LaneWorkspace<Engine>*>(raw);
+    if (!ws.engine || !fits(*ws.engine)) ws.engine = build();
+    const std::size_t count = end - begin;
+    ws.seeds.resize(count);
+    ws.results.resize(count);
+    for (std::size_t i = 0; i < count; ++i) ws.seeds[i] = j->trial_seed(begin + i);
+    std::span<ExecutionTranscript* const> transcripts;
+    if (j->spec.record_transcripts) {
+      ws.transcripts.resize(count);
+      for (std::size_t i = 0; i < count; ++i) ws.transcripts[i] = j->transcript_slot(begin + i);
+      transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
+    }
+    ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds),
+                          std::span<LaneTrialResult>(ws.results), transcripts);
+    for (std::size_t i = 0; i < count; ++i) {
+      const LaneTrialResult& r = ws.results[i];
+      j->stats[begin + i] =
+          TrialStats{r.outcome, r.messages, r.max_sync_gap, static_cast<int>(r.rounds)};
+    }
+  };
+  job.batch.workspace = WorkspaceKey{family, job.spec.n};
+  job.batch.make_workspace = workspace_factory<LaneWorkspace<Engine>>();
+}
+
 /// The specializer's fast path: the executor hands whole trial windows to
-/// a batched LaneEngine via the chunk-body seam.  Only reachable for
-/// lane_eligible() specs (route_to_lanes gates it), so the protocol always
-/// has a devirtualized kernel and the profile is honest or one of the
-/// lane-served deviations (basic-single, rushing).
+/// a batched LaneEngine.  Only reachable for lane_eligible() specs
+/// (route_to_lanes gates it), so the protocol always has a devirtualized
+/// kernel and the profile is honest or one of the lane-served deviations
+/// (basic-single, rushing).
 void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                    const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
@@ -512,13 +670,14 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
   // One representative instance resolves the display name and the step
   // limit; the kernels' honest message bounds depend only on n, so the
   // limit is uniform across the window's trials.
-  std::uint64_t step_limit = 0;
-  LaneDeviationSpec deviation;
+  LaneEngineOptions options;
+  options.scheduler_kind = spec.scheduler;
+  options.rng = spec.rng;
   {
     const std::shared_ptr<const RingProtocol> named =
         protocol_entry->make_ring(spec, spec.seed);
     job.result.protocol_name = named->name();
-    step_limit = scenario_ring_step_limit(spec, *named);
+    options.step_limit = scenario_ring_step_limit(spec, *named);
     if (deviation_entry) {
       // Build the scalar deviation once: its factory runs exactly the
       // validation the scalar path would (coalition preconditions, honest
@@ -527,64 +686,23 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
       const std::shared_ptr<const Deviation> scalar =
           deviation_entry->make_ring(*named, spec);
       job.result.deviation_name = scalar->name();
-      deviation.id = *lane_deviation_id(spec.deviation);
-      deviation.members = scalar->coalition().members();
-      deviation.segment_lengths = scalar->coalition().segment_lengths();
-      deviation.target = spec.target;
+      options.deviation.id = *lane_deviation_id(spec.deviation);
+      options.deviation.members = scalar->coalition().members();
+      options.deviation.segment_lengths = scalar->coalition().segment_lengths();
+      options.deviation.target = spec.target;
     }
   }
 
-  ScenarioJob* j = &job;
-  job.chunk_body = [j, kernel, step_limit, deviation](std::size_t begin, std::size_t end,
-                                                      void* raw) {
-    const ScenarioSpec& spec = j->spec;
-    auto& ws = *static_cast<LaneWorkspace*>(raw);
-    if (!ws.engine || ws.engine->kernel() != kernel || ws.engine->n() != spec.n ||
-        ws.engine->step_limit() != step_limit ||
-        ws.engine->scheduler_kind() != spec.scheduler || ws.engine->rng_kind() != spec.rng ||
-        !(ws.engine->deviation() == deviation)) {
-      LaneEngineOptions options;
-      options.step_limit = step_limit;
-      options.scheduler_kind = spec.scheduler;
-      options.rng = spec.rng;
-      options.deviation = deviation;
-      ws.engine = std::make_unique<LaneEngine>(spec.n, kernel, options);
-    }
-    const std::size_t count = end - begin;
-    ws.seeds.resize(count);
-    ws.results.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      ws.seeds[i] = scenario_trial_seed(spec.seed, j->window.first + begin + i);
-    }
-    std::span<ExecutionTranscript* const> transcripts;
-    if (spec.record_transcripts) {
-      ws.transcripts.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        ws.transcripts[i] = j->transcript_slot(j->window.first + begin + i);
-      }
-      transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
-    }
-    ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds),
-                          std::span<LaneTrialResult>(ws.results), transcripts);
-    for (std::size_t i = 0; i < count; ++i) {
-      TrialStats stats;
-      stats.outcome = ws.results[i].outcome;
-      stats.messages = ws.results[i].messages;
-      stats.sync_gap = ws.results[i].max_sync_gap;
-      j->stats[begin + i] = stats;
-    }
-  };
-  job.workspace_key = WorkspaceKey{kLaneFamily, spec.n};
-  job.make_workspace = workspace_factory<LaneWorkspace>();
+  const int n = spec.n;
+  fill_lane_body<LaneEngine>(
+      job, kLaneFamily,
+      [kernel, options](const LaneEngine& engine) {
+        return engine.kernel() == kernel && engine.step_limit() == options.step_limit &&
+               engine.scheduler_kind() == options.scheduler_kind &&
+               engine.rng_kind() == options.rng && engine.deviation() == options.deviation;
+      },
+      [n, kernel, options] { return std::make_unique<LaneEngine>(n, kernel, options); });
 }
-
-/// Per-worker sync lane workspace, cached under (kSyncLaneFamily, n).
-struct SyncLaneWorkspace {
-  std::unique_ptr<SyncLaneEngine> engine;
-  std::vector<std::uint64_t> seeds;
-  std::vector<LaneTrialResult> results;
-  std::vector<ExecutionTranscript*> transcripts;
-};
 
 /// Sync-runtime counterpart of fill_lane_job: whole trial windows on a
 /// batched SyncLaneEngine.  Only reachable for lane_eligible() sync specs
@@ -592,112 +710,32 @@ struct SyncLaneWorkspace {
 void fill_sync_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry) {
   const ScenarioSpec& spec = job.spec;
   require_n(spec, 2);
-  if (spec.step_limit > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    throw std::invalid_argument("sync scenarios interpret step_limit as a round limit; " +
-                                std::to_string(spec.step_limit) + " does not fit in int");
-  }
+  require_round_limit_fits(spec);
   job.result = ScenarioResult(spec.n);
   const SyncLaneKernelId kernel = *sync_lane_kernel_for(spec.protocol);
 
-  // Same round-limit resolution as fill_sync_job: the spec's explicit
-  // limit, or the protocol's round_bound(n).
-  int round_limit = 0;
+  // Same round-limit resolution as fill_sync_job.
+  SyncLaneEngineOptions options;
   {
     const std::shared_ptr<const SyncProtocol> named =
         protocol_entry->make_sync(spec, spec.seed);
     job.result.protocol_name = named->name();
-    round_limit = spec.step_limit != 0 ? static_cast<int>(spec.step_limit)
-                                       : named->round_bound(spec.n);
+    options.round_limit = sync_round_limit(spec, *named);
   }
 
-  ScenarioJob* j = &job;
-  job.chunk_body = [j, kernel, round_limit](std::size_t begin, std::size_t end, void* raw) {
-    const ScenarioSpec& spec = j->spec;
-    auto& ws = *static_cast<SyncLaneWorkspace*>(raw);
-    if (!ws.engine || ws.engine->kernel() != kernel || ws.engine->n() != spec.n ||
-        ws.engine->round_limit() != round_limit) {
-      SyncLaneEngineOptions options;
-      options.round_limit = round_limit;
-      ws.engine = std::make_unique<SyncLaneEngine>(spec.n, kernel, options);
-    }
-    const std::size_t count = end - begin;
-    ws.seeds.resize(count);
-    ws.results.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      ws.seeds[i] = scenario_trial_seed(spec.seed, j->window.first + begin + i);
-    }
-    std::span<ExecutionTranscript* const> transcripts;
-    if (spec.record_transcripts) {
-      ws.transcripts.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        ws.transcripts[i] = j->transcript_slot(j->window.first + begin + i);
-      }
-      transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
-    }
-    ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds),
-                          std::span<LaneTrialResult>(ws.results), transcripts);
-    for (std::size_t i = 0; i < count; ++i) {
-      TrialStats stats;
-      stats.outcome = ws.results[i].outcome;
-      stats.messages = ws.results[i].messages;
-      stats.rounds = static_cast<int>(ws.results[i].rounds);
-      j->stats[begin + i] = stats;
-    }
-  };
-  job.workspace_key = WorkspaceKey{kSyncLaneFamily, spec.n};
-  job.make_workspace = workspace_factory<SyncLaneWorkspace>();
-}
-
-void fill_registry_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
-                            const DeviationEntry* deviation_entry) {
-  if (!protocol_entry->make_ring) {
-    throw std::invalid_argument("protocol '" + protocol_entry->name +
-                                "' does not run on the ring topology");
-  }
-  if (deviation_entry && !deviation_entry->make_ring) {
-    throw std::invalid_argument("deviation '" + deviation_entry->name +
-                                "' does not apply to ring protocols");
-  }
-  ScenarioJob* j = &job;
-  RingTrialFactories factories;
-  if (protocol_entry->per_trial) {
-    factories.protocol = [j, protocol_entry](std::uint64_t trial_seed) {
-      return std::shared_ptr<const RingProtocol>(protocol_entry->make_ring(j->spec, trial_seed));
-    };
-    if (deviation_entry) {
-      factories.deviation = [j, deviation_entry](const RingProtocol& protocol, std::uint64_t) {
-        return std::shared_ptr<const Deviation>(deviation_entry->make_ring(protocol, j->spec));
-      };
-    }
-  } else {
-    const std::shared_ptr<const RingProtocol> shared_protocol =
-        protocol_entry->make_ring(job.spec, job.spec.seed);
-    std::shared_ptr<const Deviation> shared_deviation;
-    if (deviation_entry) {
-      shared_deviation = deviation_entry->make_ring(*shared_protocol, job.spec);
-    }
-    factories.protocol = [shared_protocol](std::uint64_t) { return shared_protocol; };
-    if (deviation_entry) {
-      factories.deviation = [shared_deviation](const RingProtocol&, std::uint64_t) {
-        return shared_deviation;
-      };
-    }
-  }
-  fill_ring_job(job, std::move(factories));
+  const int n = spec.n;
+  fill_lane_body<SyncLaneEngine>(
+      job, kSyncLaneFamily,
+      [kernel, options](const SyncLaneEngine& engine) {
+        return engine.kernel() == kernel && engine.round_limit() == options.round_limit;
+      },
+      [n, kernel, options] { return std::make_unique<SyncLaneEngine>(n, kernel, options); });
 }
 
 void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                     const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
   require_n(spec, 2);
-  if (!protocol_entry->make_graph) {
-    throw std::invalid_argument("protocol '" + protocol_entry->name +
-                                "' does not run on the graph topology");
-  }
-  if (deviation_entry && !deviation_entry->make_graph) {
-    throw std::invalid_argument("deviation '" + deviation_entry->name +
-                                "' does not apply to graph protocols");
-  }
   LinkScheduleKind schedule = LinkScheduleKind::kRoundRobin;
   switch (spec.scheduler) {
     case SchedulerKind::kRoundRobin:
@@ -710,139 +748,60 @@ void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
       throw std::invalid_argument("the priority scheduler is ring-only");
   }
 
-  job.result = ScenarioResult(spec.n);
-  std::shared_ptr<const GraphProtocol> shared_protocol;
-  std::shared_ptr<const GraphDeviation> shared_deviation;
-  if (!protocol_entry->per_trial) {
-    shared_protocol = protocol_entry->make_graph(spec, spec.seed);
-    if (deviation_entry) {
-      shared_deviation = deviation_entry->make_graph(*shared_protocol, spec);
-    }
-  }
-
-  // Resolve display names before launching workers.
-  {
-    const auto named =
-        shared_protocol ? shared_protocol : protocol_entry->make_graph(spec, spec.seed);
-    job.result.protocol_name = named->name();
-    if (deviation_entry) {
-      const auto dev =
-          shared_deviation ? shared_deviation : deviation_entry->make_graph(*named, spec);
-      job.result.deviation_name = dev->name();
-    }
-  }
-
   ScenarioJob* j = &job;
-  job.body = [j, protocol_entry, deviation_entry, shared_protocol, shared_deviation,
-              schedule](std::size_t trial, std::uint64_t trial_seed,
-                        void* raw) -> TrialStats {
-    const ScenarioSpec& spec = j->spec;
-    auto& ws = *static_cast<GraphWorkspace*>(raw);
-    std::shared_ptr<const GraphProtocol> protocol = shared_protocol;
-    std::shared_ptr<const GraphDeviation> deviation = shared_deviation;
-    if (!protocol) {
-      protocol = protocol_entry->make_graph(spec, trial_seed);
-      if (deviation_entry) deviation = deviation_entry->make_graph(*protocol, spec);
-    }
-    const std::uint64_t step_limit =
-        derived_step_limit(spec.step_limit, protocol->honest_message_bound(spec.n));
-    // The adjacency shape is baked into the workspace family, so a cached
-    // engine here always carries the matrix this scenario needs.
-    if (!ws.engine || ws.engine->step_limit() != step_limit ||
-        ws.engine->schedule_kind() != schedule) {
-      GraphEngineOptions options;
-      options.step_limit = step_limit;
-      options.schedule = schedule;
-      options.schedule_seed = trial_seed;
-      options.adjacency = build_adjacency(spec.adjacency, spec.n);
-      ws.engine = std::make_unique<GraphEngine>(spec.n, trial_seed, std::move(options));
-    } else {
-      ws.engine->reset(trial_seed, /*schedule_seed=*/trial_seed);
-    }
-    ws.engine->set_transcript(j->transcript_slot(trial));
-    ws.arena.rewind();
-    compose_profile_into(*protocol, deviation.get(), spec.n, ws.arena, ws.profile);
-    TrialStats stats;
-    stats.outcome = ws.engine->run(std::span<GraphStrategy* const>(ws.profile));
-    ws.engine->set_transcript(nullptr);
-    stats.messages = ws.engine->stats().total_sent;
-    return stats;
-  };
-  job.workspace_key = WorkspaceKey{graph_family(spec.adjacency), spec.n};
-  job.make_workspace = workspace_factory<GraphWorkspace>();
+  fill_engine_job<GraphWorkspace>(
+      job, graph_family(spec.adjacency),
+      registry_factories(job, "graph", *protocol_entry, deviation_entry,
+                         &ProtocolEntry::make_graph, &DeviationEntry::make_graph),
+      [j, schedule](std::unique_ptr<GraphEngine>& engine, const GraphProtocol& protocol,
+                    std::uint64_t seed) {
+        const ScenarioSpec& spec = j->spec;
+        const std::uint64_t step_limit =
+            derived_step_limit(spec.step_limit, protocol.honest_message_bound(spec.n));
+        // The adjacency shape is baked into the workspace family, so a
+        // cached engine here always carries the matrix this scenario needs.
+        if (engine && engine->step_limit() == step_limit &&
+            engine->schedule_kind() == schedule) {
+          engine->reset(seed, /*schedule_seed=*/seed);
+          return;
+        }
+        GraphEngineOptions options;
+        options.step_limit = step_limit;
+        options.schedule = schedule;
+        options.schedule_seed = seed;
+        options.adjacency = build_adjacency(spec.adjacency, spec.n);
+        engine = std::make_unique<GraphEngine>(spec.n, seed, std::move(options));
+      },
+      [](const GraphEngine& engine, TrialStats& stats) {
+        stats.messages = engine.stats().total_sent;
+      });
 }
 
 void fill_sync_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                    const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
   require_n(spec, 2);
-  if (!protocol_entry->make_sync) {
-    throw std::invalid_argument("protocol '" + protocol_entry->name +
-                                "' does not run on the sync topology");
-  }
-  if (deviation_entry && !deviation_entry->make_sync) {
-    throw std::invalid_argument("deviation '" + deviation_entry->name +
-                                "' does not apply to synchronous protocols");
-  }
-  if (spec.step_limit > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    throw std::invalid_argument("sync scenarios interpret step_limit as a round limit; " +
-                                std::to_string(spec.step_limit) + " does not fit in int");
-  }
-
-  job.result = ScenarioResult(spec.n);
-  std::shared_ptr<const SyncProtocol> shared_protocol;
-  std::shared_ptr<const SyncDeviation> shared_deviation;
-  if (!protocol_entry->per_trial) {
-    shared_protocol = protocol_entry->make_sync(spec, spec.seed);
-    if (deviation_entry) {
-      shared_deviation = deviation_entry->make_sync(*shared_protocol, spec);
-    }
-  }
-
-  // Resolve display names before launching workers.
-  {
-    const auto named =
-        shared_protocol ? shared_protocol : protocol_entry->make_sync(spec, spec.seed);
-    job.result.protocol_name = named->name();
-    if (deviation_entry) {
-      const auto dev =
-          shared_deviation ? shared_deviation : deviation_entry->make_sync(*named, spec);
-      job.result.deviation_name = dev->name();
-    }
-  }
+  require_round_limit_fits(spec);
 
   ScenarioJob* j = &job;
-  job.body = [j, protocol_entry, deviation_entry, shared_protocol, shared_deviation](
-                 std::size_t trial, std::uint64_t trial_seed, void* raw) -> TrialStats {
-    const ScenarioSpec& spec = j->spec;
-    auto& ws = *static_cast<SyncWorkspace*>(raw);
-    std::shared_ptr<const SyncProtocol> protocol = shared_protocol;
-    std::shared_ptr<const SyncDeviation> deviation = shared_deviation;
-    if (!protocol) {
-      protocol = protocol_entry->make_sync(spec, trial_seed);
-      if (deviation_entry) deviation = deviation_entry->make_sync(*protocol, spec);
-    }
-    const int round_limit = spec.step_limit != 0 ? static_cast<int>(spec.step_limit)
-                                                 : protocol->round_bound(spec.n);
-    if (!ws.engine || ws.engine->round_limit() != round_limit) {
-      SyncEngineOptions options;
-      options.round_limit = round_limit;
-      ws.engine = std::make_unique<SyncEngine>(spec.n, trial_seed, options);
-    } else {
-      ws.engine->reset(trial_seed);
-    }
-    ws.engine->set_transcript(j->transcript_slot(trial));
-    ws.arena.rewind();
-    compose_profile_into(*protocol, deviation.get(), spec.n, ws.arena, ws.profile);
-    TrialStats stats;
-    stats.outcome = ws.engine->run(std::span<SyncStrategy* const>(ws.profile));
-    ws.engine->set_transcript(nullptr);
-    stats.messages = ws.engine->stats().total_sent;
-    stats.rounds = ws.engine->stats().rounds;
-    return stats;
-  };
-  job.workspace_key = WorkspaceKey{kSyncFamily, spec.n};
-  job.make_workspace = workspace_factory<SyncWorkspace>();
+  fill_engine_job<SyncWorkspace>(
+      job, kSyncFamily,
+      registry_factories(job, "sync", *protocol_entry, deviation_entry,
+                         &ProtocolEntry::make_sync, &DeviationEntry::make_sync),
+      [j](std::unique_ptr<SyncEngine>& engine, const SyncProtocol& protocol, std::uint64_t seed) {
+        const int round_limit = sync_round_limit(j->spec, protocol);
+        if (engine && engine->round_limit() == round_limit) {
+          engine->reset(seed);
+          return;
+        }
+        SyncEngineOptions options;
+        options.round_limit = round_limit;
+        engine = std::make_unique<SyncEngine>(j->spec.n, seed, options);
+      },
+      [](const SyncEngine& engine, TrialStats& stats) {
+        stats.messages = engine.stats().total_sent;
+        stats.rounds = engine.stats().rounds;
+      });
 }
 
 void fill_turn_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
@@ -870,17 +829,17 @@ void fill_turn_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
   if (deviation_entry) job.result.deviation_name = deviation_entry->name;
 
   ScenarioJob* j = &job;
-  job.body = [j, deviation_entry, game, coalition = std::move(coalition)](
-                 std::size_t trial, std::uint64_t trial_seed,
-                 void* /*workspace*/) -> TrialStats {
-    Xoshiro256 rng(trial_seed);
-    std::unique_ptr<TurnAdversary> adversary;
-    if (deviation_entry) adversary = deviation_entry->make_turn(*game, j->spec);
-    TrialStats stats;
-    stats.outcome = Outcome::elected(play_turn_game(*game, coalition, adversary.get(), rng,
-                                                    j->transcript_slot(trial)));
-    return stats;
-  };
+  job.batch.body = per_trial_body(
+      job, [j, deviation_entry, game, coalition = std::move(coalition)](
+               std::size_t t, std::uint64_t seed, void* /*workspace*/) {
+        Xoshiro256 rng(seed);
+        std::unique_ptr<TurnAdversary> adversary;
+        if (deviation_entry) adversary = deviation_entry->make_turn(*game, j->spec);
+        TrialStats stats;
+        stats.outcome = Outcome::elected(
+            play_turn_game(*game, coalition, adversary.get(), rng, j->transcript_slot(t)));
+        return stats;
+      });
 }
 
 /// Transcript capture needs a deterministic runtime; the threaded runtime's
@@ -893,11 +852,6 @@ void require_transcribable(const ScenarioSpec& spec) {
         "cannot be deterministically transcribed (use 'ring' — the §2 equivalence makes the "
         "executions interchangeable)");
   }
-}
-
-/// Sizes the per-trial transcript slots after the window is known.
-void arm_transcripts(ScenarioJob& job) {
-  if (job.spec.record_transcripts) job.transcripts.resize(job.window.count);
 }
 
 /// Validates the spec's plain fields, resolves the registries, and builds
@@ -925,17 +879,16 @@ std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec) {
       spec.deviation.empty() ? nullptr : &DeviationRegistry::instance().at(spec.deviation);
 
   auto job = std::make_unique<ScenarioJob>();
-  job->spec = spec;
-  job->window = scenario_trial_window(spec);
-  job->stats.resize(job->window.count);
-  arm_transcripts(*job);
+  size_job(*job, spec);
   switch (spec.topology) {
     case TopologyKind::kRing:
     case TopologyKind::kThreaded:
       if (lanes) {
         fill_lane_job(*job, protocol_entry, deviation_entry);
       } else {
-        fill_registry_ring_job(*job, protocol_entry, deviation_entry);
+        fill_ring_job(*job, registry_factories(*job, "ring", *protocol_entry, deviation_entry,
+                                               &ProtocolEntry::make_ring,
+                                               &DeviationEntry::make_ring));
       }
       break;
     case TopologyKind::kGraph:
@@ -956,7 +909,24 @@ std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec) {
   return job;
 }
 
+/// Runs one prepared job on `spec.threads` workers of the shared executor
+/// and reduces it; the wall time counts from `start`.
+ScenarioResult run_job(ScenarioJob& job, std::chrono::steady_clock::time_point start) {
+  Executor::shared().run(std::span<Executor::Batch>(&job.batch, 1), job.spec.threads);
+  reduce_job(job);
+  job.result.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  return std::move(job.result);
+}
+
 }  // namespace
+
+std::uint64_t scenario_trial_seed(std::uint64_t base_seed, std::size_t trial) {
+  // The splitmix64 stream of base_seed: state after trial+1 golden-gamma
+  // increments, finalized.  Equivalent to calling splitmix64 trial+1 times,
+  // but random-access so workers can seed any trial independently.
+  return mix64(base_seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(trial) + 1));
+}
 
 std::uint64_t scenario_ring_step_limit(const ScenarioSpec& spec,
                                        const RingProtocol& protocol) {
@@ -968,28 +938,14 @@ ScenarioResult run_ring_scenario(const ScenarioSpec& spec,
   const auto start = std::chrono::steady_clock::now();
   require_transcribable(spec);
   ScenarioJob job;
-  job.spec = spec;
-  job.window = scenario_trial_window(spec);
-  job.stats.resize(job.window.count);
-  arm_transcripts(job);
+  size_job(job, spec);
   fill_ring_job(job, factories);
-  Executor::Batch batch = batch_of(job);
-  Executor::shared().run(std::span<Executor::Batch>(&batch, 1), spec.threads);
-  reduce_job(job);
-  job.result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return std::move(job.result);
+  return run_job(job, start);
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
   const auto start = std::chrono::steady_clock::now();
-  const std::unique_ptr<ScenarioJob> job = prepare_scenario_job(spec);
-  Executor::Batch batch = batch_of(*job);
-  Executor::shared().run(std::span<Executor::Batch>(&batch, 1), spec.threads);
-  reduce_job(*job);
-  job->result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return std::move(job->result);
+  return run_job(*prepare_scenario_job(spec), start);
 }
 
 std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep) {
@@ -1008,10 +964,12 @@ std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep) {
                                   "]: " + error.what());
     }
   }
+  // The bodies point at their (heap-stable) jobs, so the batches can move
+  // into the one contiguous submission.
   std::vector<Executor::Batch> batches;
   batches.reserve(jobs.size());
-  for (const auto& job : jobs) batches.push_back(batch_of(*job));
-  Executor::shared().run(std::span<Executor::Batch>(batches), sweep.threads, sweep.chunk);
+  for (const auto& job : jobs) batches.push_back(std::move(job->batch));
+  Executor::shared().run(std::span<Executor::Batch>(batches), sweep.threads);
 
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

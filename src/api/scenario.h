@@ -236,16 +236,20 @@ std::uint64_t scenario_ring_step_limit(const ScenarioSpec& spec, const RingProto
 /// unknown names or inconsistent specs.
 ScenarioResult run_scenario(const ScenarioSpec& spec);
 
-/// Low-level ring/threaded trial batch used by run_scenario and by the
-/// analysis/experiment.h shim: explicit factories instead of registry keys.
+/// Per-trial protocol and deviation factories for one runtime family.
 /// `protocol` is called once per trial with the trial seed (return the same
 /// shared instance every time for deterministic protocols); `deviation` may
-/// be null for the honest profile.
-struct RingTrialFactories {
-  std::function<std::shared_ptr<const RingProtocol>(std::uint64_t trial_seed)> protocol;
-  std::function<std::shared_ptr<const Deviation>(const RingProtocol&, std::uint64_t trial_seed)>
-      deviation;
+/// be null for the honest profile.  run_scenario resolves its registry
+/// entries into these for the ring, graph and sync runtimes.
+template <typename Protocol, typename Dev>
+struct TrialFactories {
+  std::function<std::shared_ptr<const Protocol>(std::uint64_t trial_seed)> protocol;
+  std::function<std::shared_ptr<const Dev>(const Protocol&, std::uint64_t trial_seed)> deviation;
 };
+using RingTrialFactories = TrialFactories<RingProtocol, Deviation>;
+
+/// Low-level ring/threaded trial batch used by the analysis/experiment.h
+/// shim: explicit factories instead of registry keys.
 ScenarioResult run_ring_scenario(const ScenarioSpec& spec, const RingTrialFactories& factories);
 
 }  // namespace fle

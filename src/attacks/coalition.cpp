@@ -107,7 +107,8 @@ std::vector<int> Coalition::segment_lengths() const {
   for (int j = 0; j < k; ++j) {
     const ProcessorId a = members_[static_cast<std::size_t>(j)];
     const ProcessorId b = members_[static_cast<std::size_t>((j + 1) % k)];
-    l.push_back(ring_distance(a, b, n_) - 1);
+    // A lone member's segment wraps the whole ring: a == b, distance n.
+    l.push_back((k == 1 ? n_ : ring_distance(a, b, n_)) - 1);
   }
   return l;
 }

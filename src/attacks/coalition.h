@@ -56,7 +56,8 @@ class Coalition {
   [[nodiscard]] int index_of(ProcessorId p) const;
 
   /// l_j for every member j (Definition 3.1): the number of honest
-  /// processors strictly between member j and the next member (cyclic).
+  /// processors strictly between member j and the next member (cyclic; a
+  /// lone member's next member is itself, so its l_0 = n - 1).
   [[nodiscard]] std::vector<int> segment_lengths() const;
   [[nodiscard]] int max_segment_length() const;
   [[nodiscard]] int min_segment_length() const;

@@ -350,7 +350,21 @@ std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
   std::optional<ScenarioResult> first;
   try {
     first.emplace(run_scenario(spec));
-  } catch (const std::invalid_argument&) {
+  } catch (const std::invalid_argument& error) {
+    // Routing must not change acceptance: a lane-eligible spec rejected
+    // under its own engine must be rejected by the scalar reference too.
+    if (spec.engine != EngineKind::kScalar && lane_eligible(spec)) {
+      ScenarioSpec scalar = spec;
+      scalar.engine = EngineKind::kScalar;
+      try {
+        run_scenario(scalar);
+        return std::string("rejected under engine=") + to_string(spec.engine) + " (" +
+               error.what() + ") but accepted under engine=scalar";
+      } catch (const std::invalid_argument&) {
+      } catch (const std::exception& scalar_error) {
+        return std::string("engine=scalar threw unexpectedly: ") + scalar_error.what();
+      }
+    }
     if (rejected) *rejected = true;  // clean rejection: the API's contract
     return std::nullopt;
   } catch (const std::exception& error) {

@@ -86,7 +86,9 @@ ScenarioSpec generate_spec(Xoshiro256& rng, const FuzzOptions& options);
 
 /// Runs the invariants against one spec.  nullopt = spec passed (or was
 /// cleanly rejected); otherwise the violated invariant.  Sets `rejected`
-/// when the spec was rejected with std::invalid_argument.
+/// when the spec was rejected with std::invalid_argument.  A lane-eligible
+/// spec's rejection is clean only if engine=scalar rejects it too: routing
+/// must not change acceptance.
 std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
                                                bool check_determinism,
                                                bool* rejected = nullptr);

@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "api/scenario.h"
 #include "attacks/basic_single.h"
 #include "attacks/deviation.h"
 #include "protocols/alead_uni.h"
@@ -340,6 +341,46 @@ TEST(ZeroAllocation, ALeadUniSteadyStateStaysBounded) {
   const std::uint64_t before = allocations();
   ASSERT_TRUE(run_honest(protocol, n, 777).valid());
   EXPECT_EQ(allocations() - before, 0u);
+}
+
+TEST(ZeroAllocation, RunScenarioAllocationsDoNotGrowWithTrials) {
+  // The scenario layer end to end at threads=1: once the executor thread's
+  // workspace is warm, a run allocates only per-run structures (result,
+  // slots, the batch body), never per trial — so T=1000 and T=2000 runs
+  // allocate the same count, on the per-trial scalar body and on the
+  // window-staging lane bodies alike.
+  ScenarioSpec scalar;
+  scalar.protocol = "alead-uni";
+  scalar.n = 16;
+  scalar.scheduler = SchedulerKind::kRandom;
+  scalar.seed = 5;
+  scalar.engine = EngineKind::kScalar;
+  ScenarioSpec lanes = scalar;
+  lanes.engine = EngineKind::kLanes;
+  ScenarioSpec sync_lanes;
+  sync_lanes.topology = TopologyKind::kSync;
+  sync_lanes.protocol = "sync-ring-lead";
+  sync_lanes.n = 16;
+  sync_lanes.seed = 5;
+  sync_lanes.engine = EngineKind::kLanes;
+
+  for (ScenarioSpec spec : {scalar, lanes, sync_lanes}) {
+    spec.threads = 1;
+    const auto run_counting = [&spec](std::size_t trials) {
+      spec.trials = trials;
+      const std::uint64_t before = allocations();
+      const ScenarioResult result = run_scenario(spec);
+      const std::uint64_t count = allocations() - before;
+      EXPECT_EQ(result.outcomes.fails(), 0u);
+      return count;
+    };
+    // Warm-up at the larger size: builds the cached engine workspace and
+    // grows the lane staging vectors to the largest window either run uses.
+    run_counting(2000);
+    const std::uint64_t small = run_counting(1000);
+    const std::uint64_t large = run_counting(2000);
+    EXPECT_EQ(small, large) << spec.protocol << " engine=" << to_string(spec.engine);
+  }
 }
 
 }  // namespace

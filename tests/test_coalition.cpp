@@ -11,7 +11,7 @@ namespace {
 
 TEST(Coalition, SegmentLengthsSumToHonestCount) {
   for (int n : {10, 37, 100}) {
-    for (int k : {2, 3, 5}) {
+    for (int k : {1, 2, 3, 5}) {
       const auto c = Coalition::equally_spaced(n, k);
       const auto l = c.segment_lengths();
       EXPECT_EQ(std::accumulate(l.begin(), l.end(), 0), n - k);

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/scenario.h"
@@ -270,6 +271,26 @@ TEST(Specializer, RoutesEachSpecByEligibilityAlone) {
   EXPECT_TRUE(route_to_lanes(forced_lanes));
   no_kernel.engine = EngineKind::kLanes;
   EXPECT_THROW(route_to_lanes(no_kernel), std::invalid_argument);
+}
+
+TEST(Specializer, RoutingDoesNotChangeAcceptance) {
+  // A lone rushing member's honest segment wraps the whole ring (l_0 =
+  // n - 1 > k - 1), so Lemma 4.1's precondition fails.  The scalar and the
+  // lane route must reject the spec with the same precondition error.
+  ScenarioSpec spec = verify::parse_spec(
+      "topology=ring protocol=alead-uni deviation=rushing placement=consecutive k=1 first=5 "
+      "target=5 n=16 trials=200 seed=3");
+  ASSERT_TRUE(lane_eligible(spec));
+  for (const EngineKind engine : {EngineKind::kScalar, EngineKind::kAuto}) {
+    spec.engine = engine;
+    try {
+      run_scenario(spec);
+      ADD_FAILURE() << "accepted under engine=" << to_string(engine);
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("Lemma 4.1"), std::string::npos)
+          << "engine=" << to_string(engine) << ": " << error.what();
+    }
+  }
 }
 
 TEST(Specializer, SweepRoutingIsInvisibleInResults) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "api/parallel.h"
 #include "api/registry.h"
@@ -331,12 +333,23 @@ TEST(RunScenario, SpecValidationFiresBeforeFactories) {
 }
 
 TEST(ParallelExecutor, WorkerExceptionsPropagate) {
-  EXPECT_THROW(run_trials_parallel(16, 4, 1,
-                                   [](std::size_t trial, std::uint64_t) -> TrialStats {
-                                     if (trial == 7) throw std::runtime_error("boom");
-                                     return {};
-                                   }),
+  // A body that throws on the chunk holding trial 7: run() rethrows the
+  // error once the queue drains, and the executor serves the next
+  // submission normally.
+  Executor::Batch batch;
+  batch.trials = 16;
+  batch.body = [](std::size_t begin, std::size_t end, void* /*workspace*/) {
+    if (begin <= 7 && 7 < end) throw std::runtime_error("boom");
+  };
+  EXPECT_THROW(Executor::shared().run(std::span<Executor::Batch>(&batch, 1), 4),
                std::runtime_error);
+
+  std::vector<int> runs(batch.trials, 0);
+  batch.body = [&runs](std::size_t begin, std::size_t end, void* /*workspace*/) {
+    for (std::size_t t = begin; t < end; ++t) ++runs[t];
+  };
+  Executor::shared().run(std::span<Executor::Batch>(&batch, 1), 4);
+  EXPECT_EQ(runs, std::vector<int>(batch.trials, 1));
 }
 
 /// The acceptance-criterion determinism test: identical outcome counters

@@ -1,6 +1,6 @@
 // The sweep execution layer (api/sweep.h) and scenario sharding: run_sweep
 // must be bit-identical to serial run_scenario at every worker count and
-// chunk size, sharded-and-merged ScenarioResults must reproduce the
+// chunking, sharded-and-merged ScenarioResults must reproduce the
 // monolithic run exactly on all four runtimes, merge() must reject
 // incompatible shards with field-naming errors, and the shard-row JSONL
 // round-trips (verify/shard.h).
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "api/parallel.h"
 #include "api/scenario.h"
 #include "api/sweep.h"
 #include "verify/shard.h"
@@ -184,22 +185,31 @@ TEST(RunSweep, MatchesSerialRunScenarioOnBenchSpecs) {
     spec.threads = 1;
     serial.push_back(run_scenario(spec));
   }
+  // The executor's automatic chunking must split this grid both into
+  // single-trial and into multi-trial chunks, so both chunk shapes are
+  // compared against the serial runs.
+  bool single_trial_chunks = false;
+  bool multi_trial_chunks = false;
   for (const int threads : {1, 4, 8}) {
-    for (const std::size_t chunk : {std::size_t{0}, std::size_t{3}}) {
-      SweepSpec sweep;
-      sweep.scenarios = specs;
-      sweep.threads = threads;
-      sweep.chunk = chunk;
-      const std::vector<ScenarioResult> batched = run_sweep(sweep);
-      ASSERT_EQ(batched.size(), serial.size());
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        expect_results_equal(serial[i], batched[i],
-                             "spec " + std::to_string(i) + " (" + specs[i].protocol +
-                                 ") threads=" + std::to_string(threads) +
-                                 " chunk=" + std::to_string(chunk));
-      }
+    for (const ScenarioSpec& spec : specs) {
+      const std::size_t chunk =
+          executor_auto_chunk(spec.trials, static_cast<std::size_t>(threads));
+      single_trial_chunks = single_trial_chunks || chunk == 1;
+      multi_trial_chunks = multi_trial_chunks || chunk > 1;
+    }
+    SweepSpec sweep;
+    sweep.scenarios = specs;
+    sweep.threads = threads;
+    const std::vector<ScenarioResult> batched = run_sweep(sweep);
+    ASSERT_EQ(batched.size(), serial.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      expect_results_equal(serial[i], batched[i],
+                           "spec " + std::to_string(i) + " (" + specs[i].protocol +
+                               ") threads=" + std::to_string(threads));
     }
   }
+  EXPECT_TRUE(single_trial_chunks);
+  EXPECT_TRUE(multi_trial_chunks);
 }
 
 TEST(TrialWindow, ValidatesAndNamesTheOffendingField) {
