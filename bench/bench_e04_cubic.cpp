@@ -12,13 +12,11 @@
 #include "attacks/coalition.h"
 #include "harness.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace fle;
   bench::Harness h(
       "e04", "E4 / Theorem 4.3 (Cubic Attack)",
-      "A-LEADuni: k = Theta(n^(1/3)) staircase adversaries control the outcome",
-      bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+      "A-LEADuni: k = Theta(n^(1/3)) staircase adversaries control the outcome");
   h.row_header("      n     k   2*n^(1/3)   attacked Pr[w]   FAIL   sync gap");
 
   const std::vector<int> sizes = {64, 128, 256, 512, 1024, 2048, 4096};

@@ -17,12 +17,10 @@
 #include "harness.h"
 #include "protocols/phase_async_lead.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace fle;
   bench::Harness h("e06", "E6 / Theorem 6.1",
-                   "PhaseAsyncLead resilience: sub-sqrt(n) coalitions gain nothing",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "PhaseAsyncLead resilience: sub-sqrt(n) coalitions gain nothing");
   h.row_header("     n    k   free slots   Pr[w]   FAIL   honest Pr[w]-1/n");
 
   struct AttackCell {

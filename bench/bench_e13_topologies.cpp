@@ -13,12 +13,10 @@
 #include "harness.h"
 #include "protocols/shamir_lead.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace fle;
   bench::Harness h("e13", "E13 / related-work baseline (Abraham et al. via Shamir)",
-                   "Fully-connected async FLE: resilient to n/2-1, broken at n/2",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "Fully-connected async FLE: resilient to n/2-1, broken at n/2");
   h.row_header(
       "     n    k         attack        possible   Pr[w]   FAIL   (w = n-1)");
 

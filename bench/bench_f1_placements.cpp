@@ -8,11 +8,9 @@
 #include "attacks/random_location.h"
 #include "harness.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace fle;
-  bench::Harness h("f1", "F1 / Figure 1", "Coalition placements and honest segments I_j",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+  bench::Harness h("f1", "F1 / Figure 1", "Coalition placements and honest segments I_j");
 
   const int n = 60;
   const auto show = [&](const char* label, const CoalitionSpec& spec) {

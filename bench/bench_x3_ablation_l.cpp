@@ -22,14 +22,12 @@
 #include "core/random_function.h"
 #include "harness.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace fle;
   const int n = 196;
   const int k_rush = static_cast<int>(std::sqrt(static_cast<double>(n))) + 3;  // 17
   bench::Harness h("x3", "X3 / ablation: the l parameter of PhaseAsyncLead (n=196)",
-                   "two attack channels vs l; the protocol is as weak as the cheaper one",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "two attack channels vs l; the protocol is as weak as the cheaper one");
   h.row_header(
       "     l   rushing k=17 Pr[w]   late-val k=l Pr[w]   cheapest breaking k");
 

@@ -16,7 +16,8 @@
 //    is dropped and the window re-issued to another worker, with the
 //    deadline doubling per attempt (capped) as backoff;
 //  * a worker that disconnects, or sends a malformed frame or a row that
-//    does not answer its assignment, is dropped the same way;
+//    fails parse_shard_row's checks (store keys included) or does not
+//    answer its assignment, is dropped the same way;
 //  * merges are at-most-once: a window's first accepted row wins, the
 //    dropped worker's socket is closed so a late duplicate cannot arrive,
 //    and ScenarioResult::merge's contiguity checks would reject one that
@@ -29,14 +30,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "api/sweep.h"
 #include "fabric/socket.h"
-#include "sim/digest.h"
 
 namespace fle::fabric {
 
@@ -61,9 +60,10 @@ struct FabricOptions {
   std::chrono::milliseconds worker_grace{15000};
 };
 
-/// Wire-dedup bookkeeping: how many transcript leaves workers offered,
-/// how many blobs actually crossed the wire, and how many were served
-/// from the driver's content-addressed cache instead.
+/// Counters of the wire dedup that fabric v2 ran on transcript windows.
+/// Wire v3 ships every window as one plain shard row, so nothing is offered,
+/// shipped or reused by key any more: all three fields always read 0.  The
+/// struct stays only because the end-to-end benchmark still reports it.
 struct DedupStats {
   std::uint64_t keys_offered = 0;
   std::uint64_t blobs_shipped = 0;
@@ -87,15 +87,12 @@ class RemoteExecutor final : public SweepBackend {
   /// std::invalid_argument for specs that cannot travel the wire.
   std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep) override;
 
-  /// Cumulative wire-dedup counters (across every sweep this executor ran).
+  /// Always zero (see DedupStats).
   [[nodiscard]] const DedupStats& dedup_stats() const { return dedup_stats_; }
 
  private:
   FabricOptions options_;
   ListenResult listen_;
-  /// Content-addressed leaf cache: blobs received once are never shipped
-  /// again, by any worker, for the lifetime of the executor.
-  std::map<Digest256, std::vector<std::uint8_t>> blob_cache_;
   DedupStats dedup_stats_;
 };
 

@@ -1,6 +1,5 @@
 #include "fabric/wire.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "api/registry.h"
@@ -76,12 +75,6 @@ const char* to_string(MessageKind kind) {
       return "bye";
     case MessageKind::kError:
       return "error";
-    case MessageKind::kLeafOffer:
-      return "leaf-offer";
-    case MessageKind::kLeafWant:
-      return "leaf-want";
-    case MessageKind::kResultDedup:
-      return "result-dedup";
   }
   return "unknown";
 }
@@ -129,37 +122,6 @@ std::vector<std::uint8_t> encode_frame(const Heartbeat& message) {
 std::vector<std::uint8_t> encode_frame(const ErrorMsg& message) {
   auto payload = begin_payload(MessageKind::kError);
   put_string(payload, message.message);
-  return finish_frame(std::move(payload));
-}
-
-std::vector<std::uint8_t> encode_frame(const LeafOffer& message) {
-  auto payload = begin_payload(MessageKind::kLeafOffer);
-  leb128_put(payload, message.window);
-  leb128_put(payload, message.keys.size());
-  for (const Digest256& key : message.keys) {
-    payload.insert(payload.end(), key.bytes.begin(), key.bytes.end());
-  }
-  return finish_frame(std::move(payload));
-}
-
-std::vector<std::uint8_t> encode_frame(const LeafWant& message) {
-  auto payload = begin_payload(MessageKind::kLeafWant);
-  leb128_put(payload, message.window);
-  leb128_put(payload, message.indices.size());
-  for (const std::uint64_t index : message.indices) leb128_put(payload, index);
-  return finish_frame(std::move(payload));
-}
-
-std::vector<std::uint8_t> encode_frame(const ResultDedup& message) {
-  auto payload = begin_payload(MessageKind::kResultDedup);
-  leb128_put(payload, message.window);
-  put_string(payload, message.row);
-  leb128_put(payload, message.blobs.size());
-  for (const auto& [index, blob] : message.blobs) {
-    leb128_put(payload, index);
-    leb128_put(payload, blob.size());
-    payload.insert(payload.end(), blob.begin(), blob.end());
-  }
   return finish_frame(std::move(payload));
 }
 
@@ -253,57 +215,6 @@ std::optional<FrameParse> try_parse_frame(std::span<const std::uint8_t> buffer) 
       frame.kind = MessageKind::kError;
       frame.error.message = get_string(payload, p, "error.message");
       break;
-    case static_cast<std::uint8_t>(MessageKind::kLeafOffer): {
-      frame.kind = MessageKind::kLeafOffer;
-      frame.offer.window = leb128_get(payload, p);
-      const std::uint64_t count = leb128_get(payload, p);
-      if (count > (payload.size() - p) / 32) {
-        bad("leaf-offer key count " + std::to_string(count) + " exceeds the frame");
-      }
-      frame.offer.keys.resize(static_cast<std::size_t>(count));
-      for (Digest256& key : frame.offer.keys) {
-        std::copy_n(payload.begin() + static_cast<std::ptrdiff_t>(p), 32,
-                    key.bytes.begin());
-        p += 32;
-      }
-      break;
-    }
-    case static_cast<std::uint8_t>(MessageKind::kLeafWant): {
-      frame.kind = MessageKind::kLeafWant;
-      frame.want.window = leb128_get(payload, p);
-      const std::uint64_t count = leb128_get(payload, p);
-      if (count > payload.size() - p) {
-        bad("leaf-want index count " + std::to_string(count) + " exceeds the frame");
-      }
-      frame.want.indices.reserve(static_cast<std::size_t>(count));
-      for (std::uint64_t w = 0; w < count; ++w) {
-        frame.want.indices.push_back(leb128_get(payload, p));
-      }
-      break;
-    }
-    case static_cast<std::uint8_t>(MessageKind::kResultDedup): {
-      frame.kind = MessageKind::kResultDedup;
-      frame.result_dedup.window = leb128_get(payload, p);
-      frame.result_dedup.row = get_string(payload, p, "result-dedup.row");
-      const std::uint64_t count = leb128_get(payload, p);
-      if (count > payload.size() - p) {
-        bad("result-dedup blob count " + std::to_string(count) + " exceeds the frame");
-      }
-      frame.result_dedup.blobs.reserve(static_cast<std::size_t>(count));
-      for (std::uint64_t b = 0; b < count; ++b) {
-        const std::uint64_t index = leb128_get(payload, p);
-        const std::uint64_t length = leb128_get(payload, p);
-        if (length > payload.size() - p) {
-          bad("result-dedup blob of " + std::to_string(length) + " bytes overruns the frame");
-        }
-        frame.result_dedup.blobs.emplace_back(
-            index, std::vector<std::uint8_t>(
-                       payload.begin() + static_cast<std::ptrdiff_t>(p),
-                       payload.begin() + static_cast<std::ptrdiff_t>(p + length)));
-        p += static_cast<std::size_t>(length);
-      }
-      break;
-    }
     default:
       bad("unknown message kind " + std::to_string(kind_byte));
   }

@@ -172,65 +172,9 @@ int run_worker(const WorkerOptions& options) {
                               "ms at assignment " + std::to_string(assignments));
         std::this_thread::sleep_for(slow_by);
       }
-      if (!row.result.transcripts_recorded) {
-        ResultMsg reply;
-        reply.window = assign.window;
-        reply.row = verify::format_shard_row(row);
-        send_frame(encode_frame(reply));
-        continue;
-      }
-
-      // Transcript windows dedup over the wire: offer the leaf content
-      // keys, wait for the subset the driver lacks, ship only those blobs
-      // next to a transcripts-elided row.
-      LeafOffer offer;
-      offer.window = assign.window;
-      offer.keys.reserve(row.result.per_trial_transcript.size());
-      for (const ExecutionTranscript& transcript : row.result.per_trial_transcript) {
-        offer.keys.push_back(transcript.content_key());
-      }
-      send_frame(encode_frame(offer));
-
-      std::optional<LeafWant> want;
-      while (!want) {
-        std::optional<Frame> answer = read_frame(sock.fd(), buffer);
-        if (!answer) return 1;  // driver vanished mid-offer
-        switch (answer->kind) {
-          case MessageKind::kHeartbeat:
-            send_frame(encode_frame(Heartbeat{answer->heartbeat.seq}));
-            continue;
-          case MessageKind::kError:
-            log_line(options, "driver error: " + answer->error.message);
-            return 2;
-          case MessageKind::kLeafWant:
-            if (answer->want.window != assign.window) {
-              log_line(options, "leaf-want names window " +
-                                    std::to_string(answer->want.window) + ", expected " +
-                                    std::to_string(assign.window));
-              return 1;
-            }
-            want = std::move(answer->want);
-            continue;
-          default:
-            log_line(options, std::string("expected leaf-want, got '") +
-                                  to_string(answer->kind) + "'");
-            return 1;
-        }
-      }
-
-      ResultDedup reply;
+      ResultMsg reply;
       reply.window = assign.window;
-      reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);
-      reply.blobs.reserve(want->indices.size());
-      for (const std::uint64_t index : want->indices) {
-        if (index >= row.result.per_trial_transcript.size()) {
-          log_line(options, "leaf-want index " + std::to_string(index) +
-                                " is out of range for the offer");
-          return 1;
-        }
-        reply.blobs.emplace_back(
-            index, row.result.per_trial_transcript[static_cast<std::size_t>(index)].encode());
-      }
+      reply.row = verify::format_shard_row(row);
       send_frame(encode_frame(reply));
     }
   } catch (const std::exception& error) {

@@ -74,7 +74,7 @@ class FlatQueue {
 /// head/tail counters under a common mask (DESIGN.md §10).  The counters
 /// are stored interleaved — ht_[2i] is cell i's head, ht_[2i+1] its tail —
 /// because every pop reads both and every push reads both (full check +
-/// slot index): pairing them puts each cell's control state on one cache
+/// slot index, through View): pairing them puts each cell's control state on one cache
 /// line instead of two.
 ///
 /// This is the SoA counterpart of a vector<FlatQueue>: where the latter
@@ -101,9 +101,6 @@ class RingBufferColumn {
     ht_.assign(cells_ * 2, 0);
   }
 
-  [[nodiscard]] std::size_t cells() const { return cells_; }
-  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
-  [[nodiscard]] bool empty(std::size_t cell) const { return ht_[cell * 2] == ht_[cell * 2 + 1]; }
   [[nodiscard]] std::size_t size(std::size_t cell) const {
     return static_cast<std::size_t>(ht_[cell * 2 + 1] - ht_[cell * 2]);
   }
@@ -111,32 +108,10 @@ class RingBufferColumn {
   /// Empties one cell (its share of the backing array is retained).
   void clear_cell(std::size_t cell) { ht_[cell * 2] = ht_[cell * 2 + 1] = 0; }
 
-  // always_inline: one push per delivery on the lane engines' hot path;
-  // outlined it clobbers the caller's register-resident trial state.
-  [[gnu::always_inline]] inline void push(std::size_t cell, T value) {
-    if (ht_[cell * 2 + 1] - ht_[cell * 2] == capacity()) [[unlikely]] grow();
-    data_[(cell << shift_) + (ht_[cell * 2 + 1]++ & mask_)] = std::move(value);
-  }
-
-  /// Precondition: !empty(cell).
-  T pop(std::size_t cell) {
-    return std::move(data_[(cell << shift_) + (ht_[cell * 2]++ & mask_)]);
-  }
-
-  /// Fused pop + drain test: pops the oldest entry and reports whether the
-  /// cell emptied, reading head/tail once instead of pop();empty() twice.
-  /// Precondition: !empty(cell).
-  T pop_drain(std::size_t cell, bool& drained) {
-    const std::uint64_t h = ht_[cell * 2]++;
-    drained = h + 1 == ht_[cell * 2 + 1];
-    return std::move(data_[(cell << shift_) + (h & mask_)]);
-  }
-
-  /// Raw cursors into the column for a caller-managed hot loop.  The
-  /// delivery loops cache one of these in their per-trial register file:
-  /// going through push()/pop() instead costs a load of each control field
-  /// per delivery, and the rare grow() call inside the loop stops the
-  /// compiler hoisting them.  ht[2i] is cell i's head counter, ht[2i+1] its
+  /// Raw cursors into the column: the lane engines' delivery loops push and
+  /// pop through one of these, cached in their per-trial register file, so
+  /// no control field is reloaded per delivery and the rare grow() stays
+  /// outside the loop (grow_view()).  ht[2i] is cell i's head counter, ht[2i+1] its
   /// tail.  Invalidated by configure() and grow() (data moves and
   /// shift/mask change; ht points at a stable vector but its *values* are
   /// rewritten) — re-view() after either.

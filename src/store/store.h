@@ -15,8 +15,9 @@
 //   * each inner node at level k covers 16^k consecutive trials and hashes
 //     the concatenation of its 16 child hashes (absent child = 32 zero
 //     bytes), so any leaf change bubbles to the root;
-//   * identical leaf blobs are stored once (deviation-free trials repeat
-//     heavily), with per-store dedup counters kept in the meta record.
+//   * identical leaf blobs are stored once, with per-store dedup counters
+//     kept in the meta record (unique_blobs() / trial_count() is the
+//     measured share of distinct executions).
 //
 // sync_stores(a, b) compares roots first — equal roots prove equal stores
 // without reading a single tree node — and otherwise descends only into

@@ -1,8 +1,12 @@
 #include "verify/shard.h"
 
 #include <algorithm>
+#include <array>
+#include <climits>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 namespace fle::verify {
 
@@ -51,6 +55,41 @@ void append_kv(std::string& out, const char* key, const std::string& quoted_or_r
   }
 }
 
+/// Strict digits-only unsigned integer.  std::stoull would silently wrap
+/// "-5", accept "+5" and numeric prefixes of garbage ("12abc"), turning a
+/// corrupt row into a wrong-but-plausible aggregate instead of an error.
+/// Returns nullopt for an empty cell, any non-digit, or overflow.
+std::optional<std::uint64_t> strict_u64(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+/// Calls fn(index, cell) for every cell of a comma-separated list, without
+/// copying; an empty list has no cells.
+template <typename Fn>
+void for_each_cell(std::string_view list, Fn&& fn) {
+  if (list.empty()) return;
+  std::size_t index = 0;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = list.find(',', start);
+    fn(index++, list.substr(start, comma == std::string_view::npos ? std::string_view::npos
+                                                                   : comma - start));
+    if (comma == std::string_view::npos) return;
+    start = comma + 1;
+  }
+}
+
+std::size_t cell_count(std::string_view list) {
+  return list.empty() ? 0 : static_cast<std::size_t>(std::count(list.begin(), list.end(), ',')) + 1;
+}
+
 /// Minimal flat-JSON scanner for the rows this module itself writes: one
 /// object, string / number / bool values, no nesting.
 class FlatJson {
@@ -97,23 +136,12 @@ class FlatJson {
   }
 
   [[nodiscard]] std::uint64_t u64(const std::string& key) const {
-    // Strict digits-only: std::stoull would silently wrap "-5" and accept
-    // numeric prefixes of garbage ("12abc"), turning a corrupt row into a
-    // wrong-but-plausible aggregate instead of an error.
     const std::string& text = str(key);
-    if (text.empty()) throw bad("key '" + key + "' is empty, expected an unsigned integer");
-    std::uint64_t value = 0;
-    for (const char c : text) {
-      if (c < '0' || c > '9') {
-        throw bad("key '" + key + "' = '" + text + "' is not an unsigned integer");
-      }
-      const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-      if (value > (UINT64_MAX - digit) / 10) {
-        throw bad("key '" + key + "' = '" + text + "' overflows 64 bits");
-      }
-      value = value * 10 + digit;
+    const std::optional<std::uint64_t> value = strict_u64(text);
+    if (!value) {
+      throw bad("key '" + key + "' = '" + text + "' is not an unsigned integer below 2^64");
     }
-    return value;
+    return *value;
   }
 
   [[nodiscard]] double dbl(const std::string& key) const {
@@ -215,54 +243,61 @@ std::string per_trial_list(const std::vector<Outcome>& per_trial) {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-/// Comma-separated hex blobs, one per trial: the transcript's compact
-/// binary encoding (sim/transcript.h), so a merged shard file reproduces
-/// the monolithic capture event for event.
-std::string transcript_list(const std::vector<ExecutionTranscript>& transcripts) {
-  std::string out;
+/// The transcripts column (comma-separated hex blobs, one per trial: the
+/// compact binary encoding of sim/transcript.h, so a merged shard file
+/// reproduces the monolithic capture event for event) and the derived
+/// store_keys column (each blob's content key, sim/digest.h: the join
+/// column between shard rows and the content-addressed store, src/store/).
+/// Each transcript is encoded once for both.
+void transcript_columns(const std::vector<ExecutionTranscript>& transcripts,
+                        std::string& blobs, std::string& keys) {
   for (std::size_t t = 0; t < transcripts.size(); ++t) {
-    if (t != 0) out += ',';
-    for (const std::uint8_t byte : transcripts[t].encode()) {
-      out += kHexDigits[byte >> 4];
-      out += kHexDigits[byte & 0xf];
+    if (t != 0) {
+      blobs += ',';
+      keys += ',';
     }
+    const std::vector<std::uint8_t> bytes = transcripts[t].encode();
+    for (const std::uint8_t byte : bytes) {
+      blobs += kHexDigits[byte >> 4];
+      blobs += kHexDigits[byte & 0xf];
+    }
+    keys += Sha256::of(bytes).hex();
   }
-  return out;
 }
 
-ExecutionTranscript transcript_from_hex(const std::string& hex) {
+/// Nibble value of every byte, -1 for a non-hex character.  Either case is
+/// accepted: we emit lowercase, but rows may pass through tools that
+/// uppercase hex.
+constexpr std::array<std::int8_t, 256> kHexValue = [] {
+  std::array<std::int8_t, 256> table{};
+  table.fill(-1);
+  for (int i = 0; i < 10; ++i) table['0' + i] = static_cast<std::int8_t>(i);
+  for (int i = 0; i < 6; ++i) {
+    table['a' + i] = static_cast<std::int8_t>(10 + i);
+    table['A' + i] = static_cast<std::int8_t>(10 + i);
+  }
+  return table;
+}();
+
+/// Decodes one hex blob into `bytes` (resized, so one buffer serves every
+/// trial of a row) and then into a transcript.  The error names the decoded
+/// byte offset so a corrupted row is localizable.
+ExecutionTranscript transcript_from_hex(std::string_view hex, std::vector<std::uint8_t>& bytes) {
   if (hex.size() % 2 != 0) {
     throw std::invalid_argument("shard row: odd-length transcript hex blob");
   }
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(hex.size() / 2);
-  // Either case is accepted (we emit lowercase, but rows may pass through
-  // tools that uppercase hex), and the error names the decoded byte offset
-  // so a corrupted row is localizable.
-  const auto nibble = [&hex](std::size_t pos) -> std::uint8_t {
-    const char c = hex[pos];
-    if (c >= '0' && c <= '9') return static_cast<std::uint8_t>(c - '0');
-    if (c >= 'a' && c <= 'f') return static_cast<std::uint8_t>(c - 'a' + 10);
-    if (c >= 'A' && c <= 'F') return static_cast<std::uint8_t>(c - 'A' + 10);
-    throw std::invalid_argument(std::string("shard row: bad transcript hex digit '") + c +
-                                "' at byte " + std::to_string(pos / 2));
-  };
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    bytes.push_back(static_cast<std::uint8_t>((nibble(i) << 4) | nibble(i + 1)));
+  bytes.resize(hex.size() / 2);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const int high = kHexValue[static_cast<std::uint8_t>(hex[2 * i])];
+    const int low = kHexValue[static_cast<std::uint8_t>(hex[2 * i + 1])];
+    if ((high | low) < 0) {
+      const char c = high < 0 ? hex[2 * i] : hex[2 * i + 1];
+      throw std::invalid_argument(std::string("shard row: bad transcript hex digit '") + c +
+                                  "' at byte " + std::to_string(i));
+    }
+    bytes[i] = static_cast<std::uint8_t>((high << 4) | low);
   }
   return ExecutionTranscript::decode(bytes);
-}
-
-/// Comma-separated store keys (sim/digest.h content hashes), one per
-/// recorded trial: the join column between shard rows and the
-/// content-addressed store (src/store/).
-std::string store_key_list(const std::vector<ExecutionTranscript>& transcripts) {
-  std::string out;
-  for (std::size_t t = 0; t < transcripts.size(); ++t) {
-    if (t != 0) out += ',';
-    out += transcripts[t].content_key().hex();
-  }
-  return out;
 }
 
 }  // namespace
@@ -274,18 +309,10 @@ ScenarioSpec shard_key_spec(ScenarioSpec spec) {
   return spec;
 }
 
-std::string format_shard_row(const ShardRow& row, bool elide_transcripts) {
-  if (!row.passthrough.empty()) {
-    std::string out = "{";
-    append_kv(out, "case", std::to_string(row.case_index), false);
-    append_kv(out, "passthrough", row.passthrough, true);
-    out += '}';
-    return out;
-  }
+std::string format_shard_row(const ShardRow& row) {
   const ScenarioResult& r = row.result;
   std::string out = "{";
   append_kv(out, "case", std::to_string(row.case_index), false);
-  if (!row.label.empty()) append_kv(out, "label", row.label, true);
   append_kv(out, "spec", row.spec_line, true);
   append_kv(out, "n", std::to_string(r.outcomes.domain()), false);
   append_kv(out, "trials", std::to_string(r.trials), false);
@@ -306,15 +333,11 @@ std::string format_shard_row(const ShardRow& row, bool elide_transcripts) {
   if (r.outcomes_recorded) append_kv(out, "per_trial", per_trial_list(r.per_trial), true);
   append_kv(out, "transcripts_recorded", r.transcripts_recorded ? "true" : "false", false);
   if (r.transcripts_recorded) {
-    if (elide_transcripts) {
-      append_kv(out, "transcripts_elided", "true", false);
-    } else {
-      append_kv(out, "transcripts", transcript_list(r.per_trial_transcript), true);
-    }
-    append_kv(out, "store_keys", store_key_list(r.per_trial_transcript), true);
-  }
-  if (row.allocations != 0) {
-    append_kv(out, "allocations", std::to_string(row.allocations), false);
+    std::string blobs;
+    std::string keys;
+    transcript_columns(r.per_trial_transcript, blobs, keys);
+    append_kv(out, "transcripts", blobs, true);
+    append_kv(out, "store_keys", keys, true);
   }
   out += '}';
   return out;
@@ -324,29 +347,68 @@ ShardRow parse_shard_row(const std::string& line) {
   const FlatJson json(line);
   ShardRow row;
   row.case_index = json.u64("case");
-  if (json.has("passthrough")) {
-    row.passthrough = json.str("passthrough");
-    if (row.passthrough.empty()) {
-      throw std::invalid_argument("shard row: empty passthrough payload");
-    }
-    return row;
-  }
-  if (json.has("label")) row.label = json.str("label");
   row.spec_line = json.str("spec");
-  if (json.has("allocations")) row.allocations = json.u64("allocations");
 
-  const int n = static_cast<int>(json.u64("n"));
-  if (n <= 0) throw std::invalid_argument("shard row: n must be positive");
-  ScenarioResult result(n);
-  result.trials = json.u64("trials");
+  // Range-check before narrowing: a wrapped n or max_rounds would be a
+  // plausible-looking wrong value, not an error.
+  constexpr std::uint64_t kIntMax = static_cast<std::uint64_t>(INT_MAX);
+  const std::uint64_t n = json.u64("n");
+  if (n == 0 || n > kIntMax) {
+    throw std::invalid_argument("shard row: key 'n' = " + std::to_string(n) +
+                                " is outside [1, " + std::to_string(kIntMax) + "]");
+  }
+  const std::uint64_t max_rounds = json.u64("max_rounds");
+  if (max_rounds > kIntMax) {
+    throw std::invalid_argument("shard row: key 'max_rounds' = " + std::to_string(max_rounds) +
+                                " exceeds " + std::to_string(kIntMax));
+  }
+  const std::uint64_t trials = json.u64("trials");
   // The counter is rebuilt by replaying `trials` records below; bound the
   // work so a corrupt row fails the parse instead of stalling the merge.
   constexpr std::uint64_t kMaxRowTrials = 100'000'000;
-  if (result.trials > kMaxRowTrials) {
-    throw std::invalid_argument("shard row: trials = " + std::to_string(result.trials) +
+  if (trials > kMaxRowTrials) {
+    throw std::invalid_argument("shard row: trials = " + std::to_string(trials) +
                                 " exceeds the per-row limit " +
                                 std::to_string(kMaxRowTrials));
   }
+
+  // Parse and cross-check the outcome histogram BEFORE sizing anything by
+  // n or replaying it into the counter: a corrupt cell must fail the parse,
+  // not allocate n counters or spin the replay loop for 2^64 iterations.
+  const std::string& counts = json.str("counts");
+  std::vector<std::uint64_t> cells;
+  std::uint64_t counted = 0;
+  for_each_cell(counts, [&](std::size_t index, std::string_view cell) {
+    const std::optional<std::uint64_t> count = strict_u64(cell);
+    if (!count) {
+      throw std::invalid_argument("shard row: key 'counts' cell " + std::to_string(index) +
+                                  " = '" + std::string(cell) +
+                                  "' is not an unsigned integer below 2^64");
+    }
+    counted += *count;  // each cell is bounded below, so the sum cannot wrap
+    if (*count > trials || counted > trials) {
+      throw std::invalid_argument("shard row: key 'counts' exceeds trials = " +
+                                  std::to_string(trials));
+    }
+    if (index >= n) {
+      throw std::invalid_argument("shard row: key 'counts' has more cells than n = " +
+                                  std::to_string(n));
+    }
+    cells.push_back(*count);
+  });
+  if (cells.size() != n) {
+    throw std::invalid_argument("shard row: key 'counts' has " + std::to_string(cells.size()) +
+                                " cells, expected n = " + std::to_string(n));
+  }
+  const std::uint64_t fails = json.u64("fails");
+  if (counted + fails != trials) {
+    throw std::invalid_argument("shard row: counts (" + std::to_string(counted) +
+                                ") + fails (" + std::to_string(fails) + ") != trials (" +
+                                std::to_string(trials) + ")");
+  }
+
+  ScenarioResult result(static_cast<int>(n));
+  result.trials = trials;
   result.trial_offset = json.u64("trial_offset");
   result.spec_trials = json.u64("spec_trials");
   if (result.trial_offset > result.spec_trials ||
@@ -361,55 +423,13 @@ ShardRow parse_shard_row(const std::string& line) {
   result.max_messages = json.u64("max_messages");
   result.total_sync_gap = json.u64("total_sync_gap");
   result.max_sync_gap = json.u64("max_sync_gap");
-  result.max_rounds = static_cast<int>(json.u64("max_rounds"));
+  result.max_rounds = static_cast<int>(max_rounds);
   result.wall_seconds = json.dbl("wall_seconds");
   result.protocol_name = json.str("protocol_name");
   result.deviation_name = json.str("deviation_name");
   result.outcomes_recorded = json.boolean("recorded");
 
-  // Parse and cross-check the outcome histogram BEFORE replaying it into
-  // the counter: a corrupt cell must fail the parse, not spin the replay
-  // loop for up to 2^64 iterations.
-  const std::string& counts = json.str("counts");
-  std::vector<std::uint64_t> cells;
-  cells.reserve(static_cast<std::size_t>(n));
-  std::size_t start = 0;
-  std::size_t counted = 0;
-  while (start <= counts.size()) {
-    const std::size_t comma = counts.find(',', start);
-    const std::string cell =
-        counts.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (cell.empty()) throw std::invalid_argument("shard row: empty counts cell");
-    std::uint64_t count = 0;
-    try {
-      count = std::stoull(cell);
-    } catch (const std::logic_error&) {
-      throw std::invalid_argument("shard row: counts cell '" + cell + "' is not a number");
-    }
-    counted += count;  // each cell is bounded below, so the sum cannot wrap
-    if (count > result.trials || counted > result.trials) {
-      throw std::invalid_argument("shard row: counts exceed trials = " +
-                                  std::to_string(result.trials));
-    }
-    if (cells.size() >= static_cast<std::size_t>(n)) {
-      throw std::invalid_argument("shard row: more counts cells than n = " +
-                                  std::to_string(n));
-    }
-    cells.push_back(count);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  if (cells.size() != static_cast<std::size_t>(n)) {
-    throw std::invalid_argument("shard row: counts has " + std::to_string(cells.size()) +
-                                " cells, expected n = " + std::to_string(n));
-  }
-  const std::uint64_t fails = json.u64("fails");
-  if (counted + fails != result.trials) {
-    throw std::invalid_argument("shard row: counts (" + std::to_string(counted) +
-                                ") + fails (" + std::to_string(fails) + ") != trials (" +
-                                std::to_string(result.trials) + ")");
-  }
-  for (Value leader = 0; leader < static_cast<Value>(n); ++leader) {
+  for (Value leader = 0; leader < n; ++leader) {
     for (std::uint64_t c = 0; c < cells[static_cast<std::size_t>(leader)]; ++c) {
       result.outcomes.record(Outcome::elected(leader));
     }
@@ -417,29 +437,43 @@ ShardRow parse_shard_row(const std::string& line) {
   for (std::uint64_t f = 0; f < fails; ++f) result.outcomes.record(Outcome::fail());
 
   if (result.outcomes_recorded) {
+    // Every cell is F or a leader id in [0, n), and the per-trial outcomes
+    // must tally to exactly the counts above (and so, with the trial count
+    // fixed, to fails): the two columns describe the same trials.
     const std::string& list = json.str("per_trial");
-    std::size_t pos = 0;
-    while (pos <= list.size() && !list.empty()) {
-      const std::size_t comma = list.find(',', pos);
-      const std::string cell =
-          list.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    std::vector<std::uint64_t> tally(cells.size(), 0);
+    result.per_trial.reserve(std::min<std::size_t>(cell_count(list), trials));
+    for_each_cell(list, [&](std::size_t index, std::string_view cell) {
+      if (index >= trials) {
+        throw std::invalid_argument("shard row: key 'per_trial' holds more than trials = " +
+                                    std::to_string(trials) + " outcomes");
+      }
       if (cell == "F") {
         result.per_trial.push_back(Outcome::fail());
-      } else {
-        try {
-          result.per_trial.push_back(Outcome::elected(std::stoull(cell)));
-        } catch (const std::logic_error&) {
-          throw std::invalid_argument("shard row: per_trial cell '" + cell +
-                                      "' is not a leader id");
-        }
+        return;
       }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
+      const std::optional<std::uint64_t> leader = strict_u64(cell);
+      if (!leader || *leader >= n) {
+        throw std::invalid_argument("shard row: key 'per_trial' cell " + std::to_string(index) +
+                                    " = '" + std::string(cell) +
+                                    "' is neither F nor a leader id below n = " +
+                                    std::to_string(n));
+      }
+      result.per_trial.push_back(Outcome::elected(*leader));
+      ++tally[static_cast<std::size_t>(*leader)];
+    });
     if (result.per_trial.size() != result.trials) {
-      throw std::invalid_argument("shard row: per_trial holds " +
+      throw std::invalid_argument("shard row: key 'per_trial' holds " +
                                   std::to_string(result.per_trial.size()) +
                                   " outcomes, trials = " + std::to_string(result.trials));
+    }
+    for (std::size_t leader = 0; leader < cells.size(); ++leader) {
+      if (tally[leader] != cells[leader]) {
+        throw std::invalid_argument("shard row: key 'per_trial' elects leader " +
+                                    std::to_string(leader) + " " +
+                                    std::to_string(tally[leader]) + " times, counts says " +
+                                    std::to_string(cells[leader]));
+      }
     }
   }
 
@@ -447,52 +481,18 @@ ShardRow parse_shard_row(const std::string& line) {
   // recorded.
   result.transcripts_recorded =
       json.has("transcripts_recorded") && json.boolean("transcripts_recorded");
-  row.transcripts_elided =
-      json.has("transcripts_elided") && json.boolean("transcripts_elided");
-  if (row.transcripts_elided && !result.transcripts_recorded) {
-    throw std::invalid_argument("shard row: transcripts_elided without transcripts_recorded");
-  }
-  if (row.transcripts_elided) {
-    // The dedup wire form: store keys stand in for the blobs, which the
-    // receiver resolves from its content-addressed cache.
-    const std::string& keys = json.str("store_keys");
-    std::size_t key_pos = 0;
-    while (key_pos <= keys.size() && !keys.empty()) {
-      const std::size_t comma = keys.find(',', key_pos);
-      const std::string key = keys.substr(
-          key_pos, comma == std::string::npos ? std::string::npos : comma - key_pos);
-      const std::optional<Digest256> digest = Digest256::from_hex(key);
-      if (!digest) {
-        throw std::invalid_argument("shard row: store_keys[" +
-                                    std::to_string(row.store_keys.size()) + "] = '" + key +
-                                    "' is not a 64-hex-digit content key");
-      }
-      row.store_keys.push_back(digest->hex());  // normalized lowercase
-      if (comma == std::string::npos) break;
-      key_pos = comma + 1;
-    }
-    if (row.store_keys.size() != result.trials) {
-      throw std::invalid_argument("shard row: store_keys holds " +
-                                  std::to_string(row.store_keys.size()) +
-                                  " keys, trials = " + std::to_string(result.trials));
-    }
-  } else if (result.transcripts_recorded) {
+  if (result.transcripts_recorded) {
     const std::string& list = json.str("transcripts");
-    std::size_t pos = 0;
-    while (pos <= list.size() && !list.empty()) {
-      const std::size_t comma = list.find(',', pos);
-      const std::string blob =
-          list.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    std::vector<std::uint8_t> bytes;
+    result.per_trial_transcript.reserve(std::min<std::size_t>(cell_count(list), trials));
+    for_each_cell(list, [&](std::size_t index, std::string_view blob) {
       try {
-        result.per_trial_transcript.push_back(transcript_from_hex(blob));
+        result.per_trial_transcript.push_back(transcript_from_hex(blob, bytes));
       } catch (const std::exception& error) {
-        throw std::invalid_argument(
-            "shard row: transcripts[" + std::to_string(result.per_trial_transcript.size()) +
-            "]: " + error.what());
+        throw std::invalid_argument("shard row: transcripts[" + std::to_string(index) +
+                                    "]: " + error.what());
       }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
+    });
     if (result.per_trial_transcript.size() != result.trials) {
       throw std::invalid_argument("shard row: transcripts holds " +
                                   std::to_string(result.per_trial_transcript.size()) +
@@ -500,32 +500,27 @@ ShardRow parse_shard_row(const std::string& line) {
     }
     // The store-key column is derived data; when present it must agree
     // with the blobs it annotates, or the row was stitched from two
-    // different captures.
+    // different captures.  This is the integrity check on every transcript
+    // a fabric worker ships.
     if (json.has("store_keys")) {
       const std::string& keys = json.str("store_keys");
-      std::size_t key_pos = 0;
-      std::size_t trial = 0;
-      while (key_pos <= keys.size() && !keys.empty()) {
-        const std::size_t comma = keys.find(',', key_pos);
-        const std::string key = keys.substr(
-            key_pos, comma == std::string::npos ? std::string::npos : comma - key_pos);
-        if (trial >= result.per_trial_transcript.size()) {
+      const std::size_t recorded = result.per_trial_transcript.size();
+      for_each_cell(keys, [&](std::size_t trial, std::string_view key) {
+        if (trial >= recorded) {
           throw std::invalid_argument("shard row: more store_keys than transcripts");
         }
-        const std::string expected = result.per_trial_transcript[trial].content_key().hex();
-        if (key != expected) {
+        const Digest256 expected = result.per_trial_transcript[trial].content_key();
+        if (Digest256::from_hex(key) != expected) {
           throw std::invalid_argument("shard row: store_keys[" + std::to_string(trial) +
-                                      "] = '" + key + "' does not match the transcript (" +
-                                      expected + ")");
+                                      "] = '" + std::string(key) +
+                                      "' does not match the transcript (" + expected.hex() +
+                                      ")");
         }
-        ++trial;
-        if (comma == std::string::npos) break;
-        key_pos = comma + 1;
-      }
-      if (trial != result.per_trial_transcript.size()) {
-        throw std::invalid_argument("shard row: store_keys holds " + std::to_string(trial) +
-                                    " keys, transcripts = " +
-                                    std::to_string(result.per_trial_transcript.size()));
+      });
+      if (cell_count(keys) != recorded) {
+        throw std::invalid_argument("shard row: store_keys holds " +
+                                    std::to_string(cell_count(keys)) +
+                                    " keys, transcripts = " + std::to_string(recorded));
       }
     }
   }
@@ -548,46 +543,20 @@ std::map<std::size_t, MergedCase> merge_shard_rows(std::vector<ShardRow> rows) {
 
   std::map<std::size_t, MergedCase> merged;
   for (auto& [index, group] : by_case) {
-    // Passthrough rows (display rows that are not scenario runs) are
-    // carried by one shard only; mixing them with mergeable rows under one
-    // case index means the shards disagree about what the case is.
-    if (!group.front().passthrough.empty()) {
-      for (const ShardRow& row : group) {
-        if (row.passthrough != group.front().passthrough) {
-          throw std::invalid_argument("shard case " + std::to_string(index) +
-                                      ": conflicting passthrough rows");
-        }
-      }
-      MergedCase out;
-      out.passthrough = group.front().passthrough;
-      merged.emplace(index, std::move(out));
-      continue;
-    }
     std::sort(group.begin(), group.end(), [](const ShardRow& a, const ShardRow& b) {
       return a.result.trial_offset < b.result.trial_offset;
     });
     for (const ShardRow& row : group) {
-      if (!row.passthrough.empty()) {
-        throw std::invalid_argument("shard case " + std::to_string(index) +
-                                    ": mixes passthrough and scenario rows");
-      }
       if (row.spec_line != group.front().spec_line) {
         throw std::invalid_argument("shard case " + std::to_string(index) +
                                     ": rows name different specs ('" +
                                     group.front().spec_line + "' vs '" + row.spec_line +
                                     "')");
       }
-      if (row.label != group.front().label) {
-        throw std::invalid_argument("shard case " + std::to_string(index) +
-                                    ": rows carry different labels ('" +
-                                    group.front().label + "' vs '" + row.label + "')");
-      }
     }
     MergedCase out;
     out.spec_line = group.front().spec_line;
-    out.label = group.front().label;
     out.result = group.front().result;
-    out.allocations = group.front().allocations;
     for (std::size_t i = 1; i < group.size(); ++i) {
       // Diagnose window tiling faults by name before the generic merge
       // contiguity check: the likely operator errors are feeding the same
@@ -606,7 +575,6 @@ std::map<std::size_t, MergedCase> merge_shard_rows(std::vector<ShardRow> rows) {
             ") (missing shard file?)");
       }
       out.result.merge(group[i].result);  // enforces compatibility + contiguity
-      out.allocations += group[i].allocations;
     }
     if (out.result.trial_offset != 0 || out.result.trials != out.result.spec_trials) {
       throw std::invalid_argument(

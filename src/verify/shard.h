@@ -1,13 +1,13 @@
 #pragma once
 // Shard-file IO: the JSONL row format sharded drivers exchange.
 //
-// A sharded run (fle_verify --shard i/m, or a bench binary run with
-// --shard i/m) executes only a window of every scenario's trials
-// (ScenarioSpec::trial_offset/trial_count) and appends one row per scenario
-// to a JSONL file.  A row carries the window-cleared spec line
-// (verify/fuzzer.h format_spec), the case index within the driver's plan,
-// and the partial ScenarioResult as exact mergeable aggregates (outcome
-// counts, integer totals, maxima).  The merge step (--merge) parses the
+// A sharded run (fle_verify --shard i/m, fle_sweep --local --shard i/m, or
+// one fabric window) executes only a window of every scenario's trials
+// (ScenarioSpec::trial_offset/trial_count) and renders one JSONL row per
+// scenario (a file line, or a fabric worker's kResult payload).  A row
+// carries the window-cleared spec line (verify/fuzzer.h format_spec), the
+// case index within the driver's plan, and the partial ScenarioResult as
+// exact mergeable aggregates (outcome counts, integer totals, maxima).  The merge step (--merge) parses the
 // rows, groups them by case, orders them by trial_offset and folds them
 // with ScenarioResult::merge — reproducing the monolithic run bit for bit,
 // because per-trial seeds depend only on the global trial index and every
@@ -22,25 +22,12 @@
 
 namespace fle::verify {
 
-/// One scenario's partial result, as written by a sharded driver — or a
-/// passthrough row: pre-rendered display JSON for table rows that are not
-/// scenario runs (bench add_row).  Passthrough rows are not trial-sharded;
-/// shard 0 carries them and the merge step re-emits them verbatim.
+/// One scenario's partial result, as written by a sharded driver or a
+/// fabric worker.
 struct ShardRow {
-  std::size_t case_index = 0;   ///< position in the driver's scenario plan
-  std::string label;            ///< driver row label (benches; empty for verify)
-  std::string spec_line;        ///< format_spec() of the window-CLEARED spec
-  std::uint64_t allocations = 0;  ///< bench bookkeeping; merged by summing
-  std::string passthrough;      ///< non-empty = raw display JSON, no result
+  std::size_t case_index = 0;  ///< position in the driver's scenario plan
+  std::string spec_line;       ///< format_spec() of the window-CLEARED spec
   ScenarioResult result{1};
-  /// True when the row was formatted with elide_transcripts: the recorded
-  /// transcripts travel out of band (the fabric's dedup path ships only the
-  /// blobs the driver lacks) and the row carries their store keys instead.
-  bool transcripts_elided = false;
-  /// Hex content keys (sim/digest.h), one per recorded trial, when elided.
-  std::vector<std::string> store_keys;
-
-  ShardRow() = default;
 };
 
 /// The spec key written into shard rows: the shard window cleared and
@@ -48,30 +35,29 @@ struct ShardRow {
 /// merge step — formats the identical format_spec line for one scenario.
 ScenarioSpec shard_key_spec(ScenarioSpec spec);
 
-/// Renders one JSONL row (no trailing newline).  With elide_transcripts,
-/// a transcript-recording row keeps its store_keys column but drops the
-/// hex blobs and marks itself "transcripts_elided" — the wire-dedup form
-/// whose blobs are shipped (or skipped) separately by content key.
-std::string format_shard_row(const ShardRow& row, bool elide_transcripts = false);
+/// Renders one JSONL row (no trailing newline).  A transcript-recording row
+/// carries its transcripts as hex blobs plus the derived store_keys column
+/// (one content key per blob, sim/digest.h).
+std::string format_shard_row(const ShardRow& row);
 
 /// Parses a row previously produced by format_shard_row.  Throws
-/// std::invalid_argument naming the offending key on malformed input.
+/// std::invalid_argument naming the offending key on malformed or
+/// inconsistent input: non-digit integers, per-trial leaders outside
+/// [0, n), a per-trial histogram that disagrees with counts and fails,
+/// out-of-range n or max_rounds, and store keys that do not hash the blobs
+/// they annotate.
 ShardRow parse_shard_row(const std::string& line);
 
-/// A fully merged case: all shards of one scenario folded together, or a
-/// passthrough row carried through unchanged.
+/// A fully merged case: all shards of one scenario folded together.
 struct MergedCase {
   std::string spec_line;
-  std::string label;
-  std::uint64_t allocations = 0;
-  std::string passthrough;  ///< non-empty = display JSON; result is unused
   ScenarioResult result{1};
 };
 
 /// Groups rows by case index, orders each group by trial_offset and folds
 /// it with ScenarioResult::merge (which enforces compatibility and
 /// contiguity).  Throws std::invalid_argument if two rows of one case name
-/// different specs or labels, or if the shards do not tile the scenario.
+/// different specs, or if the shards do not tile the scenario.
 std::map<std::size_t, MergedCase> merge_shard_rows(std::vector<ShardRow> rows);
 
 }  // namespace fle::verify

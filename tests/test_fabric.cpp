@@ -9,7 +9,9 @@
 
 #include <cctype>
 #include <chrono>
+#include <exception>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -108,8 +110,18 @@ TEST(FabricWire, BackToBackFramesParseSequentially) {
 }
 
 TEST(FabricWire, MalformedFramesThrow) {
-  // Unknown message kind.
-  EXPECT_THROW(try_parse_frame(std::vector<std::uint8_t>{1, 0xee}), std::invalid_argument);
+  // Unknown message kinds, including 9-11 (wire v2's dedup frames).
+  for (const std::uint8_t kind : {std::uint8_t{0xee}, std::uint8_t{9}, std::uint8_t{10},
+                                  std::uint8_t{11}}) {
+    try {
+      (void)try_parse_frame(std::vector<std::uint8_t>{1, kind});
+      ADD_FAILURE() << "kind " << int{kind} << " parsed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("unknown message kind " + std::to_string(kind)),
+                std::string::npos)
+          << error.what();
+    }
+  }
   // Zero-length payload.
   EXPECT_THROW(try_parse_frame(std::vector<std::uint8_t>{0}), std::invalid_argument);
   // Length prefix far beyond the frame cap.
@@ -128,51 +140,6 @@ TEST(FabricWire, MalformedFramesThrow) {
   leb128_put(bad_string, 200);  // claims a 200-byte message in a 3-byte payload
   bad_string.push_back('x');
   EXPECT_THROW(try_parse_frame(bad_string), std::invalid_argument);
-}
-
-TEST(FabricWire, DedupFramesRoundTrip) {
-  LeafOffer offer;
-  offer.window = 12;
-  offer.keys.push_back(Sha256::of_string("a"));
-  offer.keys.push_back(Sha256::of_string("b"));
-  const Frame offered = roundtrip(encode_frame(offer));
-  ASSERT_EQ(offered.kind, MessageKind::kLeafOffer);
-  EXPECT_EQ(offered.offer.window, 12u);
-  ASSERT_EQ(offered.offer.keys.size(), 2u);
-  EXPECT_EQ(offered.offer.keys[0], Sha256::of_string("a"));
-  EXPECT_EQ(offered.offer.keys[1], Sha256::of_string("b"));
-
-  LeafWant want;
-  want.window = 12;
-  want.indices = {0, 5, 9};
-  const Frame wanted = roundtrip(encode_frame(want));
-  ASSERT_EQ(wanted.kind, MessageKind::kLeafWant);
-  EXPECT_EQ(wanted.want.window, 12u);
-  EXPECT_EQ(wanted.want.indices, (std::vector<std::uint64_t>{0, 5, 9}));
-
-  ResultDedup dedup;
-  dedup.window = 12;
-  dedup.row = "{\"case\": 1}";
-  dedup.blobs.emplace_back(5, std::vector<std::uint8_t>{1, 2, 3});
-  const Frame shipped = roundtrip(encode_frame(dedup));
-  ASSERT_EQ(shipped.kind, MessageKind::kResultDedup);
-  EXPECT_EQ(shipped.result_dedup.row, dedup.row);
-  ASSERT_EQ(shipped.result_dedup.blobs.size(), 1u);
-  EXPECT_EQ(shipped.result_dedup.blobs[0].first, 5u);
-  EXPECT_EQ(shipped.result_dedup.blobs[0].second, (std::vector<std::uint8_t>{1, 2, 3}));
-}
-
-TEST(FabricWire, TruncatedLeafOfferThrows) {
-  // A key count that overruns the payload must be rejected before any
-  // allocation, like every other malformed frame.
-  std::vector<std::uint8_t> payload;
-  payload.push_back(static_cast<std::uint8_t>(MessageKind::kLeafOffer));
-  leb128_put(payload, 1);    // window
-  leb128_put(payload, 100);  // claims 100 keys, carries none
-  std::vector<std::uint8_t> framed;
-  leb128_put(framed, payload.size());
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  EXPECT_THROW(try_parse_frame(framed), std::invalid_argument);
 }
 
 TEST(FabricWire, DigestsAreStableAndOrderSensitive) {
@@ -377,17 +344,48 @@ TEST(ShardHardening, StoreKeysValidateAgainstTheTranscripts) {
   expect_parse_error(corrupted, "store_keys[0]");
 }
 
-TEST(ShardHardening, ElidedRowsCarryKeysInsteadOfBlobs) {
-  const verify::ShardRow row = recorded_row();
-  const std::string elided = verify::format_shard_row(row, /*elide_transcripts=*/true);
-  EXPECT_EQ(elided.find("\"transcripts\":"), std::string::npos);
-  ASSERT_NE(elided.find("\"transcripts_elided\": true"), std::string::npos);
-  const verify::ShardRow parsed = verify::parse_shard_row(elided);
-  EXPECT_TRUE(parsed.transcripts_elided);
-  ASSERT_EQ(parsed.store_keys.size(), row.result.per_trial_transcript.size());
-  for (std::size_t t = 0; t < parsed.store_keys.size(); ++t) {
-    EXPECT_EQ(parsed.store_keys[t], row.result.per_trial_transcript[t].content_key().hex());
+/// A canonical 3-trial row with n = 4, counts 0,1,1,1 and per-trial
+/// outcomes 1,2,3: the base the consistency tests below corrupt one key of.
+const std::string kStrictRow =
+    R"({"case": 0, "spec": "topology=ring protocol=basic-lead n=4 trials=3 seed=1 record=1", )"
+    R"("n": 4, "trials": 3, "trial_offset": 0, "spec_trials": 3, "base_seed": 1, )"
+    R"("fails": 0, "counts": "0,1,1,1", "total_messages": 48, "max_messages": 16, )"
+    R"("total_sync_gap": 0, "max_sync_gap": 0, "max_rounds": 0, "wall_seconds": 0, )"
+    R"("protocol_name": "Basic-LEAD", "deviation_name": "", "recorded": true, )"
+    R"("per_trial": "1,2,3", "transcripts_recorded": false})";
+
+std::string with_value(const std::string& key, const std::string& from, const std::string& to) {
+  std::string row = kStrictRow;
+  const std::string needle = "\"" + key + "\": " + from;
+  const std::size_t pos = row.find(needle);
+  EXPECT_NE(pos, std::string::npos) << needle;
+  if (pos != std::string::npos) row.replace(pos, needle.size(), "\"" + key + "\": " + to);
+  return row;
+}
+
+TEST(ShardHardening, PerTrialCellsAreLeaderIdsBelowN) {
+  // The base row itself is valid and canonical.
+  ASSERT_EQ(verify::format_shard_row(verify::parse_shard_row(kStrictRow)), kStrictRow);
+  for (const char* cells : {"\"-1,99,3x\"", "\"-1,2,3\"", "\"1,99,3\"", "\"1,2,3x\""}) {
+    expect_parse_error(with_value("per_trial", "\"1,2,3\"", cells), "'per_trial'");
   }
+}
+
+TEST(ShardHardening, PerTrialMustTallyToCountsAndFails) {
+  expect_parse_error(with_value("per_trial", "\"1,2,3\"", "\"0,0,0\""), "'per_trial'");
+  expect_parse_error(with_value("per_trial", "\"1,2,3\"", "\"1,2,F\""), "'per_trial'");
+}
+
+TEST(ShardHardening, CountsCellsAreDigitsOnly) {
+  expect_parse_error(with_value("counts", "\"0,1,1,1\"", "\"+0,+1,+1,+1\""), "'counts'");
+}
+
+TEST(ShardHardening, NIsRangeCheckedBeforeNarrowing) {
+  expect_parse_error(with_value("n", "4", "4294967300"), "'n'");
+}
+
+TEST(ShardHardening, MaxRoundsIsRangeCheckedBeforeNarrowing) {
+  expect_parse_error(with_value("max_rounds", "0", "2147483648"), "'max_rounds'");
 }
 
 TEST(ShardHardening, MergeNamesOverlapAndGap) {
@@ -559,43 +557,93 @@ TEST(FabricDriver, BackoffDeadlineDoublesAndSaturates) {
   }
 }
 
-TEST(FabricLoopback, DedupReusesRepeatedTranscriptBlobs) {
+TEST(FabricLoopback, RowWithAForgedStoreKeyIsDroppedAndReissued) {
+  // A transcript's only integrity check on the wire is parse_shard_row's
+  // store-key cross-check.  A hand-rolled worker answers its first
+  // assignment with an otherwise valid row whose store_keys[0] is flipped:
+  // the driver must drop it (close the connection rather than assign it
+  // more work) and re-issue the window to an honest worker.
   SweepSpec sweep;
   ScenarioSpec spec;
   spec.protocol = "basic-lead";
   spec.n = 5;
   spec.trials = 30;
   spec.seed = 5;
+  spec.record_outcomes = true;
   spec.record_transcripts = true;
   sweep.add(spec);
-  sweep.add(spec);  // identical twin: all of its leaves are already cached
-
   const std::vector<ScenarioResult> local = run_sweep(sweep);
+
   FabricOptions options;
   options.window_trials = 10;
   RemoteExecutor executor(options);
-  WorkerOptions worker;
-  worker.port = executor.port();
-  worker.threads = 2;
-  std::thread thread([worker] { (void)run_worker(worker); });
   std::vector<ScenarioResult> remote;
-  try {
-    remote = executor.run_sweep(sweep);
-  } catch (...) {
-    thread.join();
-    throw;
-  }
-  thread.join();
+  std::exception_ptr failure;
+  std::thread driver([&] {
+    try {
+      remote = executor.run_sweep(sweep);
+    } catch (...) {
+      failure = std::current_exception();
+    }
+  });
 
-  // Dedup is a transport optimization: the merged report stays bit-identical.
+  const auto forge = [&] {
+    Socket sock = connect_tcp("127.0.0.1", executor.port(), std::chrono::seconds(5));
+    set_read_timeout(sock.fd(), std::chrono::seconds(10));
+    const auto send = [&sock](const std::vector<std::uint8_t>& bytes) {
+      send_bytes(sock.fd(), bytes.data(), bytes.size(), /*blocking=*/true);
+    };
+    Hello hello;
+    hello.build = build_digest();
+    hello.label = "forger";
+    send(encode_frame(hello));
+    std::vector<std::uint8_t> buffer;
+    const std::optional<Frame> welcome = read_frame(sock.fd(), buffer);
+    ASSERT_TRUE(welcome.has_value());
+    ASSERT_EQ(welcome->kind, MessageKind::kWelcome);
+    std::optional<Frame> assign = read_frame(sock.fd(), buffer);
+    while (assign && assign->kind == MessageKind::kHeartbeat) {
+      assign = read_frame(sock.fd(), buffer);
+    }
+    ASSERT_TRUE(assign.has_value());
+    ASSERT_EQ(assign->kind, MessageKind::kAssign);
+
+    ScenarioSpec window = spec;
+    window.trial_offset = assign->assign.trial_offset;
+    window.trial_count = assign->assign.trial_count;
+    verify::ShardRow row;
+    row.case_index = assign->assign.scenario;
+    row.spec_line = welcome->welcome.spec_lines.at(assign->assign.scenario);
+    row.result = run_scenario(window);
+    ResultMsg forged;
+    forged.window = assign->assign.window;
+    forged.row = verify::format_shard_row(row);
+    const std::size_t key = forged.row.find("\"store_keys\": \"") + 15;
+    ASSERT_NE(key, std::string::npos + 15);
+    forged.row[key] = forged.row[key] == '0' ? '1' : '0';
+    send(encode_frame(forged));
+
+    // Dropped: the driver closes the connection instead of assigning the
+    // forger another of the two windows still pending.
+    std::optional<Frame> next;
+    try {
+      next = read_frame(sock.fd(), buffer);
+    } catch (const std::runtime_error&) {
+      next.reset();  // a connection reset counts as closed
+    }
+    EXPECT_FALSE(next.has_value()) << "driver kept the forger: got '"
+                                   << to_string(next->kind) << "'";
+  };
+  forge();
+
+  WorkerOptions honest;
+  honest.port = executor.port();
+  honest.threads = 2;
+  std::thread worker([honest] { (void)run_worker(honest); });
+  driver.join();
+  worker.join();
+  if (failure) std::rethrow_exception(failure);
   EXPECT_EQ(canonical_report(sweep, remote), canonical_report(sweep, local));
-  const DedupStats& stats = executor.dedup_stats();
-  EXPECT_EQ(stats.keys_offered, 60u);
-  EXPECT_EQ(stats.blobs_shipped + stats.blobs_reused, stats.keys_offered);
-  // One worker drains windows in plan order, so by the time the twin
-  // scenario runs, every one of its 30 blobs is served from the cache.
-  EXPECT_GE(stats.blobs_reused, 30u);
-  EXPECT_LE(stats.blobs_shipped, 30u);
 }
 
 TEST(FabricLoopback, AllWorkersDeadFailsTheSweepLoudly) {

@@ -2,11 +2,12 @@
 //
 //   fle_store build --out sweep.flst rows.jsonl...   build a store from
 //                                      shard-row JSONL (fle_sweep reports,
-//                                      fle_verify --shard output); rows of
-//                                      one scenario merge in trial order,
-//                                      so four shard files and one
-//                                      monolithic file build byte-identical
-//                                      stores
+//                                      local or fabric, and --shard files;
+//                                      transcripts as hex, store keys
+//                                      checked); rows of one scenario merge
+//                                      in trial order, so four shard files
+//                                      and one monolithic file build
+//                                      byte-identical stores
 //   fle_store diff a.flst b.flst       O(diff) sync: equal roots prove
 //                                      equality without reading a tree
 //                                      node; otherwise only divergent
@@ -74,20 +75,14 @@ fle::StoreWriter build_writer(const char* argv0, const std::vector<std::string>&
       } catch (const std::exception& error) {
         throw std::runtime_error(path + ":" + std::to_string(line_number) + ": " + error.what());
       }
-      const fle::verify::ShardRow& row = rows.back();
-      if (row.transcripts_elided) {
-        throw std::runtime_error(path + ":" + std::to_string(line_number) +
-                                 ": row is transcripts-elided (its blobs travelled the fabric's "
-                                 "dedup channel); build stores from full reports");
-      }
     }
   }
-  // Drop rows with nothing to store (passthrough benches, scenarios run
-  // without transcripts=1) before grouping — they have no leaves.
+  // Drop rows with nothing to store (scenarios run without transcripts=1)
+  // before grouping — they have no leaves.
   std::size_t skipped = 0;
   std::vector<fle::verify::ShardRow> recording;
   for (fle::verify::ShardRow& row : rows) {
-    if (!row.passthrough.empty() || !row.result.transcripts_recorded) {
+    if (!row.result.transcripts_recorded) {
       ++skipped;
       continue;
     }
