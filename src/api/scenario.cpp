@@ -341,8 +341,7 @@ void size_job(ScenarioJob& job, const ScenarioSpec& spec) {
 constexpr int kRingFamily = 1;
 constexpr int kGraphFamily = 2;
 constexpr int kSyncFamily = 3;
-constexpr int kLaneFamily = 4;      ///< batched ring lane engine (sim/lane_engine.h)
-constexpr int kSyncLaneFamily = 5;  ///< batched sync lane engine (sim/sync_engine.h)
+constexpr int kLaneFamily = 4;  ///< batched ring lane engine (sim/lane_engine.h)
 constexpr int kGraphFamilyBase = 16;  ///< + GraphAdjacency index for restricted graphs
 
 int graph_family(GraphAdjacency adjacency) {
@@ -611,49 +610,12 @@ void fill_ring_job(ScenarioJob& job, RingTrialFactories factories) {
 /// Per-worker lane workspace: one batched lane engine plus the
 /// window-shaped seed / result / transcript-pointer staging vectors, cached
 /// under the lane family's key like every other engine workspace.
-template <typename Engine>
 struct LaneWorkspace {
-  std::unique_ptr<Engine> engine;
+  std::unique_ptr<LaneEngine> engine;
   std::vector<std::uint64_t> seeds;
   std::vector<LaneTrialResult> results;
   std::vector<ExecutionTranscript*> transcripts;
 };
-
-/// The two lane builders' shared body: each chunk runs as one window on a
-/// batched lane engine.  `fits(engine)` says whether a cached engine (its
-/// n fixed by the workspace key) has this job's shape; `build()` makes one
-/// that does.  The window's seeds and
-/// transcript slots are staged, run_window executes them, and each trial's
-/// result lands in its stats slot (ring lanes report rounds = 0 and sync
-/// lanes sync_gap = 0, like their scalar runtimes).
-template <typename Engine, typename Fits, typename Build>
-void fill_lane_body(ScenarioJob& job, int family, Fits fits, Build build) {
-  ScenarioJob* j = &job;
-  job.batch.body = [j, fits = std::move(fits), build = std::move(build)](
-                       std::size_t begin, std::size_t end, void* raw) {
-    auto& ws = *static_cast<LaneWorkspace<Engine>*>(raw);
-    if (!ws.engine || !fits(*ws.engine)) ws.engine = build();
-    const std::size_t count = end - begin;
-    ws.seeds.resize(count);
-    ws.results.resize(count);
-    for (std::size_t i = 0; i < count; ++i) ws.seeds[i] = j->trial_seed(begin + i);
-    std::span<ExecutionTranscript* const> transcripts;
-    if (j->spec.record_transcripts) {
-      ws.transcripts.resize(count);
-      for (std::size_t i = 0; i < count; ++i) ws.transcripts[i] = j->transcript_slot(begin + i);
-      transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
-    }
-    ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds),
-                          std::span<LaneTrialResult>(ws.results), transcripts);
-    for (std::size_t i = 0; i < count; ++i) {
-      const LaneTrialResult& r = ws.results[i];
-      j->stats[begin + i] =
-          TrialStats{r.outcome, r.messages, r.max_sync_gap, static_cast<int>(r.rounds)};
-    }
-  };
-  job.batch.workspace = WorkspaceKey{family, job.spec.n};
-  job.batch.make_workspace = workspace_factory<LaneWorkspace<Engine>>();
-}
 
 /// The specializer's fast path: the executor hands whole trial windows to
 /// a batched LaneEngine.  Only reachable for lane_eligible() specs
@@ -693,43 +655,38 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     }
   }
 
-  const int n = spec.n;
-  fill_lane_body<LaneEngine>(
-      job, kLaneFamily,
-      [kernel, options](const LaneEngine& engine) {
-        return engine.kernel() == kernel && engine.step_limit() == options.step_limit &&
-               engine.scheduler_kind() == options.scheduler_kind &&
-               engine.rng_kind() == options.rng && engine.deviation() == options.deviation;
-      },
-      [n, kernel, options] { return std::make_unique<LaneEngine>(n, kernel, options); });
-}
-
-/// Sync-runtime counterpart of fill_lane_job: whole trial windows on a
-/// batched SyncLaneEngine.  Only reachable for lane_eligible() sync specs
-/// (honest profile, sync lane-kernel protocol).
-void fill_sync_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry) {
-  const ScenarioSpec& spec = job.spec;
-  require_n(spec, 2);
-  require_round_limit_fits(spec);
-  job.result = ScenarioResult(spec.n);
-  const SyncLaneKernelId kernel = *sync_lane_kernel_for(spec.protocol);
-
-  // Same round-limit resolution as fill_sync_job.
-  SyncLaneEngineOptions options;
-  {
-    const std::shared_ptr<const SyncProtocol> named =
-        protocol_entry->make_sync(spec, spec.seed);
-    job.result.protocol_name = named->name();
-    options.round_limit = sync_round_limit(spec, *named);
-  }
-
-  const int n = spec.n;
-  fill_lane_body<SyncLaneEngine>(
-      job, kSyncLaneFamily,
-      [kernel, options](const SyncLaneEngine& engine) {
-        return engine.kernel() == kernel && engine.round_limit() == options.round_limit;
-      },
-      [n, kernel, options] { return std::make_unique<SyncLaneEngine>(n, kernel, options); });
+  // Each chunk runs as one window: its seeds and transcript slots are
+  // staged, run_window executes them, and each trial's result lands in its
+  // stats slot.  A cached engine (n fixed by the workspace key) is rebuilt
+  // only when its shape differs from this job's.
+  ScenarioJob* j = &job;
+  job.batch.body = [j, kernel, options](std::size_t begin, std::size_t end, void* raw) {
+    auto& ws = *static_cast<LaneWorkspace*>(raw);
+    if (!ws.engine || ws.engine->kernel() != kernel ||
+        ws.engine->step_limit() != options.step_limit ||
+        ws.engine->scheduler_kind() != options.scheduler_kind ||
+        ws.engine->rng_kind() != options.rng || ws.engine->deviation() != options.deviation) {
+      ws.engine = std::make_unique<LaneEngine>(j->spec.n, kernel, options);
+    }
+    const std::size_t count = end - begin;
+    ws.seeds.resize(count);
+    ws.results.resize(count);
+    for (std::size_t i = 0; i < count; ++i) ws.seeds[i] = j->trial_seed(begin + i);
+    std::span<ExecutionTranscript* const> transcripts;
+    if (j->spec.record_transcripts) {
+      ws.transcripts.resize(count);
+      for (std::size_t i = 0; i < count; ++i) ws.transcripts[i] = j->transcript_slot(begin + i);
+      transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
+    }
+    ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds),
+                          std::span<LaneTrialResult>(ws.results), transcripts);
+    for (std::size_t i = 0; i < count; ++i) {
+      const LaneTrialResult& r = ws.results[i];
+      j->stats[begin + i] = TrialStats{r.outcome, r.messages, r.max_sync_gap};
+    }
+  };
+  job.batch.workspace = WorkspaceKey{kLaneFamily, spec.n};
+  job.batch.make_workspace = workspace_factory<LaneWorkspace>();
 }
 
 void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
@@ -895,11 +852,7 @@ std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec) {
       fill_graph_job(*job, protocol_entry, deviation_entry);
       break;
     case TopologyKind::kSync:
-      if (lanes) {
-        fill_sync_lane_job(*job, protocol_entry);
-      } else {
-        fill_sync_job(*job, protocol_entry, deviation_entry);
-      }
+      fill_sync_job(*job, protocol_entry, deviation_entry);
       break;
     case TopologyKind::kTree:
     case TopologyKind::kFullInfo:

@@ -57,21 +57,20 @@ enum class TopologyKind { kRing, kGraph, kTree, kSync, kThreaded, kFullInfo };
 const char* to_string(TopologyKind kind);
 std::optional<TopologyKind> parse_topology(const std::string& name);
 
-/// Which execution engine serves a scenario's trials (ring and sync
-/// topologies; other runtimes have no lane engines and ignore this).
+/// Which execution engine serves a scenario's trials.  Lanes serve ring
+/// specs only; every other topology runs on its scalar runtime.
 ///
-///  * kAuto   — the specializer (api/specialize.h) routes every spec with
-///              a devirtualized lane kernel to the batched lane engines —
-///              honest or deviated (basic-single, rushing) ring specs,
-///              honest sync specs — and falls back to the scalar engines
-///              elsewhere.
+///  * kAuto   — the specializer (api/specialize.h) routes every ring spec
+///              with a devirtualized lane kernel, honest or deviated
+///              (basic-single, rushing), to the batched lane engine and
+///              everything else to the scalar runtimes.
 ///              Results are bit-identical either way (the lane
 ///              differentials gate it), so this is purely a performance
 ///              decision.
 ///  * kScalar — always the scalar reference engine.
 ///  * kLanes  — force the batched lane engine; rejected (invalid_argument
 ///              with the lane_ineligible_reason) when the spec has no lane
-///              kernel.
+///              kernel or is not a ring spec.
 enum class EngineKind { kAuto, kScalar, kLanes };
 
 const char* to_string(EngineKind kind);
@@ -151,7 +150,7 @@ struct ScenarioSpec {
   bool record_transcripts = false;
   /// kGraph only: the link structure trials run on (ignored elsewhere).
   GraphAdjacency adjacency = GraphAdjacency::kComplete;
-  /// Engine selection (see EngineKind); lanes serve ring and sync specs.
+  /// Engine selection (see EngineKind); lanes serve ring specs.
   EngineKind engine = EngineKind::kAuto;
   /// Generator family behind the processors' random tapes (core/rng.h).
   /// kCtr is opt-in and ring/threaded-only: the counter-based streams are

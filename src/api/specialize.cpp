@@ -11,12 +11,6 @@ std::optional<LaneKernelId> lane_kernel_for(const std::string& protocol) {
   return std::nullopt;
 }
 
-std::optional<SyncLaneKernelId> sync_lane_kernel_for(const std::string& protocol) {
-  if (protocol == "sync-broadcast-lead") return SyncLaneKernelId::kSyncBroadcast;
-  if (protocol == "sync-ring-lead") return SyncLaneKernelId::kSyncRing;
-  return std::nullopt;
-}
-
 std::optional<LaneDeviationId> lane_deviation_id(const std::string& deviation) {
   if (deviation.empty()) return LaneDeviationId::kNone;
   if (deviation == "basic-single") return LaneDeviationId::kBasicSingle;
@@ -25,32 +19,20 @@ std::optional<LaneDeviationId> lane_deviation_id(const std::string& deviation) {
 }
 
 std::string lane_ineligible_reason(const ScenarioSpec& spec) {
-  switch (spec.topology) {
-    case TopologyKind::kRing:
-      if (!lane_kernel_for(spec.protocol).has_value()) {
-        return "protocol '" + spec.protocol +
-               "' has no ring lane kernel (lane kernels: basic-lead, chang-roberts, alead-uni)";
-      }
-      if (!lane_deviation_id(spec.deviation).has_value()) {
-        return "deviation '" + spec.deviation +
-               "' has no lane register mapping (lane-served ring profiles: honest, basic-single, "
-               "rushing)";
-      }
-      return "";
-    case TopologyKind::kSync:
-      if (!sync_lane_kernel_for(spec.protocol).has_value()) {
-        return "protocol '" + spec.protocol +
-               "' has no sync lane kernel (sync lane kernels: sync-broadcast-lead, sync-ring-lead)";
-      }
-      if (!spec.deviation.empty()) {
-        return "deviation '" + spec.deviation +
-               "' is not lane-served on the sync runtime (honest sync profiles only)";
-      }
-      return "";
-    default:
-      return std::string("topology '") + to_string(spec.topology) +
-             "' has no lane runtime (lanes serve ring and sync specs)";
+  if (spec.topology != TopologyKind::kRing) {
+    return std::string("topology '") + to_string(spec.topology) +
+           "' has no lane runtime (lanes serve ring specs)";
   }
+  if (!lane_kernel_for(spec.protocol).has_value()) {
+    return "protocol '" + spec.protocol +
+           "' has no ring lane kernel (lane kernels: basic-lead, chang-roberts, alead-uni)";
+  }
+  if (!lane_deviation_id(spec.deviation).has_value()) {
+    return "deviation '" + spec.deviation +
+           "' has no lane register mapping (lane-served ring profiles: honest, basic-single, "
+           "rushing)";
+  }
+  return "";
 }
 
 bool lane_eligible(const ScenarioSpec& spec) { return lane_ineligible_reason(spec).empty(); }

@@ -2,16 +2,13 @@
 // Engine specialization (DESIGN.md §10).
 //
 // The Scenario API decides, per scenario, whether trials run on the
-// batched lane engines (sim/lane_engine.h, sim/sync_engine.h) or the
-// general scalar runtimes.  Eligibility is structural:
-//
-//  * a ring spec whose protocol has a devirtualized lane kernel
-//    (basic-lead, chang-roberts, alead-uni) running either the honest
-//    profile or one of the lane-served deviated profiles (basic-single,
-//    rushing — the two dominant resilience-sweep attacks, which map onto
-//    the lane register file as a member overlay), or
-//  * a sync spec whose protocol has a sync lane kernel
-//    (sync-broadcast-lead, sync-ring-lead) with an honest profile.
+// batched ring lane engine (sim/lane_engine.h) or the general scalar
+// runtimes.  Eligibility is structural: a ring spec whose protocol has a
+// devirtualized lane kernel (basic-lead, chang-roberts, alead-uni) running
+// either the honest profile or one of the lane-served deviated profiles
+// (basic-single, rushing — the two dominant resilience-sweep attacks,
+// which map onto the lane register file as a member overlay).  Every other
+// topology, sync included, runs on its scalar runtime.
 //
 // Routing is a pure function of the spec: engine=scalar pins the scalar
 // runtime, engine=lanes demands a lane engine (and names why when the spec
@@ -19,8 +16,8 @@
 // about the rest of a submission enters the decision, so run_scenario,
 // run_sweep and every fabric worker route a spec the same way.
 //
-// The decision is invisible in results: the lane engines are gated
-// bit-identical to the scalar runtimes (ScenarioResults and transcript
+// The decision is invisible in results: the lane engine is gated
+// bit-identical to the scalar ring engine (ScenarioResults and transcript
 // digests), so specialization is purely a throughput choice.
 
 #include <optional>
@@ -28,15 +25,11 @@
 
 #include "api/scenario.h"
 #include "sim/lane_engine.h"
-#include "sim/sync_engine.h"
 
 namespace fle {
 
 /// The ring lane kernel for a registry protocol key, if one exists.
 std::optional<LaneKernelId> lane_kernel_for(const std::string& protocol);
-
-/// The sync lane kernel for a registry protocol key, if one exists.
-std::optional<SyncLaneKernelId> sync_lane_kernel_for(const std::string& protocol);
 
 /// The lane register-file mapping for a registry deviation key, if one
 /// exists (empty key = honest = LaneDeviationId::kNone).

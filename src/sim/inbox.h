@@ -80,7 +80,7 @@ class FlatQueue {
 /// This is the SoA counterpart of a vector<FlatQueue>: where the latter
 /// scatters one allocation (plus a 5-word control block) per cell across
 /// the heap, the column keeps every queue's storage and bookkeeping in
-/// three flat arrays, so the lane engines' deliver/receive hot loop walks
+/// three flat arrays, so the lane engine's deliver/receive hot loop walks
 /// contiguous memory with exactly one predictable full-check branch per
 /// push.  The price of the shared layout is uniform capacity: grow() is
 /// outlined and re-lays *every* cell at double the capacity (rare — after
@@ -108,8 +108,8 @@ class RingBufferColumn {
   /// Empties one cell (its share of the backing array is retained).
   void clear_cell(std::size_t cell) { ht_[cell * 2] = ht_[cell * 2 + 1] = 0; }
 
-  /// Raw cursors into the column: the lane engines' delivery loops push and
-  /// pop through one of these, cached in their per-trial register file, so
+  /// Raw cursors into the column: the lane engine's delivery loop pushes and
+  /// pops through one of these, cached in its per-trial register file, so
   /// no control field is reloaded per delivery and the rare grow() stays
   /// outside the loop (grow_view()).  ht[2i] is cell i's head counter, ht[2i+1] its
   /// tail.  Invalidated by configure() and grow() (data moves and

@@ -122,7 +122,6 @@ struct LaneTrialResult {
   Outcome outcome = Outcome::fail();
   std::uint64_t messages = 0;      ///< total sent (ExecutionStats::total_sent)
   std::uint64_t max_sync_gap = 0;  ///< ExecutionStats::max_sync_gap
-  std::uint64_t rounds = 0;        ///< sync runtime only; ring lanes report 0
   bool step_limit_hit = false;
 };
 

@@ -8,8 +8,18 @@
 // resilience mechanism — a processor cannot wait for information before
 // committing (its round-r messages are chosen before any round-r delivery),
 // and silence is detectable (a missing message in a round is a deviation).
+//
+// Memory model (DESIGN.md §4): payloads never own heap memory.  A send
+// copies its words into the engine's next-round payload slab and queues a
+// (sender, offset, length) envelope for its destination; at the round
+// barrier the slabs swap, and each processor's inbox is rebuilt in place as
+// (sender, span-into-the-slab) pairs.  Every buffer keeps its capacity
+// across rounds and reset(), so a reused engine runs steady-state trials
+// without touching the allocator.
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -19,22 +29,32 @@
 #include "core/rng.h"
 #include "core/types.h"
 #include "sim/arena.h"
-#include "sim/graph_engine.h"  // GraphMessage
-#include "sim/lane_engine.h"   // LaneTrialResult (the shared lane window ABI)
 #include "sim/transcript.h"
 
 namespace fle {
 
-/// One delivered message: (sender, payload).
-using SyncInbox = std::vector<std::pair<ProcessorId, GraphMessage>>;
+/// One delivered message's payload, viewed in place in the engine's round
+/// slab.  Valid until the receiving on_round call returns.
+using SyncPayload = std::span<const Value>;
+
+/// One round's deliveries: (sender, payload), sorted by sender.
+using SyncInbox = std::vector<std::pair<ProcessorId, SyncPayload>>;
 
 class SyncContext {
  public:
   virtual ~SyncContext() = default;
-  /// Queue a message for delivery at the start of the next round.
-  virtual void send(ProcessorId to, GraphMessage message) = 0;
-  /// Convenience: send to everyone else.
-  virtual void broadcast(GraphMessage message) = 0;
+  /// Queue a message for delivery at the start of the next round.  The
+  /// payload is copied, so it may view a delivered message.
+  virtual void send(ProcessorId to, SyncPayload payload) = 0;
+  /// Send to everyone else.
+  virtual void broadcast(SyncPayload payload) = 0;
+  /// Brace-list payloads: ctx.send(to, {v}), ctx.broadcast({v}).
+  void send(ProcessorId to, std::initializer_list<Value> payload) {
+    send(to, SyncPayload(payload.begin(), payload.size()));
+  }
+  void broadcast(std::initializer_list<Value> payload) {
+    broadcast(SyncPayload(payload.begin(), payload.size()));
+  }
   virtual void terminate(Value output) = 0;
   virtual void abort() = 0;
   [[nodiscard]] virtual ProcessorId id() const = 0;
@@ -84,8 +104,8 @@ class SyncEngine {
   SyncEngine(const SyncEngine&) = delete;
   SyncEngine& operator=(const SyncEngine&) = delete;
 
-  /// Rearms for a fresh execution (DESIGN.md §4): clears the double-buffered
-  /// round inboxes in place and reseeds the tapes.
+  /// Rearms for a fresh execution (DESIGN.md §4): clears the round slabs
+  /// and envelope lists in place and reseeds the tapes.
   void reset(std::uint64_t trial_seed);
 
   /// Non-owning profile run; see RingEngine::run.
@@ -110,6 +130,17 @@ class SyncEngine {
   class Context;
   friend class Context;
 
+  /// Where a queued message's payload sits in its round's slab.
+  struct Envelope {
+    ProcessorId from;
+    std::size_t offset;
+    std::size_t length;
+  };
+  /// Copies `payload` into the next-round slab; returns its offset.
+  std::size_t stage(SyncPayload payload);
+  /// Counts one send and queues its envelope unless `to` has terminated.
+  void post(ProcessorId from, ProcessorId to, std::size_t offset, std::size_t length);
+
   int n_;
   std::uint64_t trial_seed_;
   SyncEngineOptions options_;
@@ -120,8 +151,14 @@ class SyncEngine {
   std::vector<std::unique_ptr<SyncStrategy>> owned_strategies_;
   std::vector<std::optional<LocalOutput>> outputs_;
   std::vector<bool> terminated_;
-  std::vector<SyncInbox> next_inbox_;   ///< messages for the next round
-  std::vector<SyncInbox> round_inbox_;  ///< double buffer: this round's deliveries
+
+  // Double-buffered by round: next_* collect this round's sends, round_*
+  // hold this round's deliveries.  Envelope lists are per destination.
+  std::vector<Value> next_slab_;
+  std::vector<Value> round_slab_;
+  std::vector<std::vector<Envelope>> next_mail_;
+  std::vector<std::vector<Envelope>> round_mail_;
+  SyncInbox inbox_;  ///< the running processor's delivery view
   int quiet_rounds_ = 0;
   SyncExecutionStats stats_;
 };
@@ -129,91 +166,5 @@ class SyncEngine {
 /// Convenience: run `protocol` honestly.
 Outcome run_honest_sync(const SyncProtocol& protocol, int n, std::uint64_t trial_seed,
                         SyncEngineOptions options = {});
-
-// ---------------------------------------------------------------------------
-// Sync-runtime trial lanes (DESIGN.md §10).
-//
-// The sync round loop is embarrassingly lane-able: there is no scheduler
-// state at all — a trial is a pure function of its seed through a fixed
-// per-round barrier — so the honest built-in sync protocols get
-// devirtualized SoA kernels exactly like the ring lanes.  Per-processor
-// registers (d, running sum, termination, outputs) live in one set of
-// flat columns indexed by processor; the per-round double-buffered message
-// boxes are a flat n*n (sender, value) scratch.  Trials run to completion
-// one at a time, as in LaneEngine, reusing the same columns.
-//
-// Bit-identity contract, same as the ring lanes: each trial replicates
-// SyncEngine::run exactly — same round-limit check before the round
-// counter advances, same phase/delivery/decision transcript order, same
-// sorted-by-sender inbox view (lane sends are generated in ascending
-// sender order, which IS the sorted order for these single-shot
-// protocols), same quiescence grace round, same tape draw order.  The
-// suite's sync lane differential, the fuzzer lane invariant and the CI
-// byte-cmp gate it.
-
-/// The built-in sync protocols with devirtualized lane kernels.
-enum class SyncLaneKernelId { kSyncBroadcast, kSyncRing };
-
-const char* to_string(SyncLaneKernelId kernel);
-
-struct SyncLaneEngineOptions {
-  /// Hard bound on rounds; 0 = the kernel protocol's round_bound(n)
-  /// (sync-broadcast-lead: 4; sync-ring-lead: n + 3).
-  int round_limit = 0;
-};
-
-class SyncLaneEngine {
- public:
-  SyncLaneEngine(int n, SyncLaneKernelId kernel, SyncLaneEngineOptions options = {});
-
-  SyncLaneEngine(const SyncLaneEngine&) = delete;
-  SyncLaneEngine& operator=(const SyncLaneEngine&) = delete;
-
-  /// Runs one window of trials; see LaneEngine::run_window.  Results carry
-  /// rounds in LaneTrialResult::rounds and the round-limit hit in
-  /// step_limit_hit (max_sync_gap is 0, as in the scalar sync runtime).
-  void run_window(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
-                  std::span<ExecutionTranscript* const> transcripts = {});
-
-  [[nodiscard]] int n() const { return n_; }
-  [[nodiscard]] SyncLaneKernelId kernel() const { return kernel_; }
-  [[nodiscard]] int round_limit() const { return round_limit_; }
-
- private:
-  struct BroadcastKernel;
-  struct RingKernel;
-
-  template <typename Kernel>
-  void run_window_impl(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
-                       std::span<ExecutionTranscript* const> transcripts);
-  template <typename Kernel>
-  void run_trial(std::uint64_t seed, ExecutionTranscript* transcript, LaneTrialResult& out);
-
-  void sync_send(ProcessorId to, ProcessorId from, Value v);
-  void sync_finish(ProcessorId p, bool aborted, Value value, ExecutionTranscript* transcript);
-
-  int n_;
-  SyncLaneKernelId kernel_;
-  int round_limit_;
-
-  // Per-processor SoA registers, indexed by processor: reg_a_ =
-  // the round-1 draw d, reg_b_ = the running mod-n sum.
-  std::vector<Value> reg_a_;
-  std::vector<Value> reg_b_;
-  std::vector<std::uint8_t> terminated_;
-  std::vector<std::uint8_t> out_has_;
-  std::vector<std::uint8_t> out_aborted_;
-  std::vector<Value> out_value_;
-
-  // Double-buffered round boxes (cur = this round's deliveries, next =
-  // sends collected for the following round): per destination a fixed
-  // n-wide strip of (sender, value) pairs plus a fill count.  Shared
-  // burst scratch — only one trial is in flight at a time.
-  std::vector<ProcessorId> box_from_[2];
-  std::vector<Value> box_val_[2];
-  std::vector<std::uint32_t> box_count_[2];
-  int cur_ = 0;  ///< which buffer is this round's delivery view
-  std::uint64_t total_sent_ = 0;
-};
 
 }  // namespace fle

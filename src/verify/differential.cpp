@@ -331,9 +331,7 @@ CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
        {aggregate("total_messages", rs.total_messages, rl.total_messages),
         aggregate("max_messages", rs.max_messages, rl.max_messages),
         aggregate("total_sync_gap", rs.total_sync_gap, rl.total_sync_gap),
-        aggregate("max_sync_gap", rs.max_sync_gap, rl.max_sync_gap),
-        aggregate("max_rounds", static_cast<std::uint64_t>(rs.max_rounds),
-                  static_cast<std::uint64_t>(rl.max_rounds))}) {
+        aggregate("max_sync_gap", rs.max_sync_gap, rl.max_sync_gap)}) {
     if (!mismatch.empty()) return CheckResult::fail("lane-differential", subject, mismatch);
   }
 

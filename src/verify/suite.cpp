@@ -602,22 +602,6 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
         return check_lane_differential(rushing, threads);
       });
     }
-    // And the sync-runtime lanes: both sync kernels against the scalar
-    // SyncEngine's round loop (rounds, messages, phase/delivery/decision
-    // transcripts).
-    for (const char* protocol : {"sync-broadcast-lead", "sync-ring-lead"}) {
-      for (const int threads : kLaneWorkers) {
-        ScenarioSpec spec;
-        spec.topology = TopologyKind::kSync;
-        spec.protocol = protocol;
-        spec.n = 12;
-        spec.trials = options.exact_trials;
-        spec.seed = options.seed + 47;
-        cases.emplace_back([spec, threads] {
-          return check_lane_differential(spec, threads);
-        });
-      }
-    }
     // The opt-in counter RNG draws different tapes, so there is no exact
     // reference — its honest election distribution must instead be
     // indistinguishable from the Xoshiro reference streams (both uniform

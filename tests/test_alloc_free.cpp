@@ -11,8 +11,10 @@
 #include <span>
 #include <vector>
 
+#include "api/registry.h"
 #include "api/scenario.h"
 #include "attacks/basic_single.h"
+#include "attacks/coalition.h"
 #include "attacks/deviation.h"
 #include "protocols/alead_uni.h"
 #include "protocols/basic_lead.h"
@@ -186,7 +188,7 @@ class SyncEchoStrategy final : public SyncStrategy {
  public:
   void on_round(SyncContext& ctx, const SyncInbox& inbox) override {
     if (ctx.round() == 1) {
-      ctx.broadcast(GraphMessage{});
+      ctx.broadcast({});
       return;
     }
     if (static_cast<int>(inbox.size()) == ctx.network_size() - 1) ctx.terminate(0);
@@ -308,24 +310,58 @@ TEST(ZeroAllocation, DeviatedLaneWindowIsAllocationFree) {
   }
 }
 
-TEST(ZeroAllocation, SyncLaneWindowIsAllocationFree) {
-  // The sync lanes keep every per-processor register and both round boxes
-  // in flat columns sized at construction.
+TEST(ZeroAllocation, RegisteredSyncProfilesAreAllocationFree) {
+  // The registered sync protocols and E15 deviations, not a toy: their
+  // one-word payloads are copied into the engine's round slab and
+  // delivered as span views, so once the slabs, envelope lists and inbox
+  // view reach their high-water marks a whole trial allocates nothing.
+  // One engine and one arena serve all four profiles, as a cached
+  // run_scenario workspace would.
+  register_builtin_scenarios();
   const int n = 16;
-  SyncLaneEngineOptions options;
-  for (const SyncLaneKernelId kernel :
-       {SyncLaneKernelId::kSyncBroadcast, SyncLaneKernelId::kSyncRing}) {
-    SyncLaneEngine engine(n, kernel, options);
-    std::vector<std::uint64_t> seeds(24);
-    std::vector<LaneTrialResult> results(24);
-    for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 4000 + i;
-    engine.run_window(seeds, results);  // warm-up
+  struct Profile {
+    const char* protocol;
+    const char* deviation;
+    CoalitionSpec coalition;
+  };
+  const Profile profiles[] = {
+      {"sync-broadcast-lead", "", {}},
+      {"sync-ring-lead", "", {}},
+      {"sync-broadcast-lead", "sync-late-broadcast", CoalitionSpec::consecutive(1, 1)},
+      {"sync-broadcast-lead", "sync-blind-collusion", CoalitionSpec::consecutive(n - 1, 1)},
+  };
+  SyncEngine engine(n, 1);
+  StrategyArena arena;
+  std::vector<SyncStrategy*> profile;
+  for (const Profile& p : profiles) {
+    ScenarioSpec spec;
+    spec.topology = TopologyKind::kSync;
+    spec.protocol = p.protocol;
+    spec.deviation = p.deviation;
+    spec.coalition = p.coalition;
+    spec.n = n;
+    const std::unique_ptr<SyncProtocol> protocol =
+        ProtocolRegistry::instance().at(spec.protocol).make_sync(spec, spec.seed);
+    std::unique_ptr<SyncDeviation> deviation;
+    if (!spec.deviation.empty()) {
+      deviation = DeviationRegistry::instance().at(spec.deviation).make_sync(*protocol, spec);
+    }
+    const auto trial = [&](std::uint64_t seed) {
+      engine.reset(seed);
+      arena.rewind();
+      compose_profile_into(*protocol, deviation.get(), n, arena, profile);
+      return engine.run(std::span<SyncStrategy* const>(profile));
+    };
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) (void)trial(seed);
 
     const std::uint64_t before = allocations();
-    engine.run_window(seeds, results);
-    EXPECT_EQ(allocations() - before, 0u)
-        << "steady-state sync lane window allocated (" << to_string(kernel) << ")";
-    for (const LaneTrialResult& r : results) EXPECT_TRUE(r.outcome.valid());
+    const Outcome outcome = trial(1234);
+    const std::uint64_t after = allocations();
+    EXPECT_EQ(after - before, 0u) << "steady-state sync trial allocated (" << p.protocol << " "
+                                  << p.deviation << ")";
+    EXPECT_GT(engine.stats().total_sent, 0u);
+    // Only the late broadcaster is detected (E15).
+    EXPECT_EQ(outcome.failed(), spec.deviation == "sync-late-broadcast") << p.deviation;
   }
 }
 
@@ -347,8 +383,8 @@ TEST(ZeroAllocation, RunScenarioAllocationsDoNotGrowWithTrials) {
   // The scenario layer end to end at threads=1: once the executor thread's
   // workspace is warm, a run allocates only per-run structures (result,
   // slots, the batch body), never per trial — so T=1000 and T=2000 runs
-  // allocate the same count, on the per-trial scalar body and on the
-  // window-staging lane bodies alike.
+  // allocate the same count, on the per-trial scalar bodies (ring and
+  // sync) and on the window-staging lane body alike.
   ScenarioSpec scalar;
   scalar.protocol = "alead-uni";
   scalar.n = 16;
@@ -357,14 +393,14 @@ TEST(ZeroAllocation, RunScenarioAllocationsDoNotGrowWithTrials) {
   scalar.engine = EngineKind::kScalar;
   ScenarioSpec lanes = scalar;
   lanes.engine = EngineKind::kLanes;
-  ScenarioSpec sync_lanes;
-  sync_lanes.topology = TopologyKind::kSync;
-  sync_lanes.protocol = "sync-ring-lead";
-  sync_lanes.n = 16;
-  sync_lanes.seed = 5;
-  sync_lanes.engine = EngineKind::kLanes;
+  ScenarioSpec sync;
+  sync.topology = TopologyKind::kSync;
+  sync.protocol = "sync-ring-lead";
+  sync.n = 16;
+  sync.seed = 5;
+  sync.engine = EngineKind::kAuto;
 
-  for (ScenarioSpec spec : {scalar, lanes, sync_lanes}) {
+  for (ScenarioSpec spec : {scalar, lanes, sync}) {
     spec.threads = 1;
     const auto run_counting = [&spec](std::size_t trials) {
       spec.trials = trials;

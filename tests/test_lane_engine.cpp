@@ -15,7 +15,6 @@
 #include "api/scenario.h"
 #include "api/specialize.h"
 #include "api/sweep.h"
-#include "sim/sync_engine.h"
 #include "verify/differential.h"
 #include "verify/fuzzer.h"
 
@@ -85,45 +84,6 @@ TEST(LaneEngine, DeviatedKernelsBitIdenticalUnderDataDependentSchedulers) {
     result = verify::check_lane_differential(rushing, /*threads=*/3);
     EXPECT_TRUE(result.passed) << result.detail;
   }
-}
-
-TEST(SyncLaneEngine, BitIdenticalAcrossKernelsAndWorkers) {
-  // The sync-runtime lanes: both sync kernels against the scalar
-  // SyncEngine round loop — rounds, messages, and the per-round
-  // phase/delivery/decision transcripts.
-  for (const char* protocol : {"sync-broadcast-lead", "sync-ring-lead"}) {
-    for (const int threads : kWorkerGrid) {
-      ScenarioSpec spec;
-      spec.topology = TopologyKind::kSync;
-      spec.protocol = protocol;
-      spec.n = 11;
-      spec.trials = 48;
-      spec.seed = 414243;
-      const auto result = verify::check_lane_differential(spec, threads);
-      EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
-    }
-  }
-}
-
-TEST(SyncLaneEngine, RoundLimitStarvationMatchesScalar) {
-  // A starving round limit must abort the same way on both engines (the
-  // sync lanes replicate the limit check before the round counter moves).
-  ScenarioSpec spec;
-  spec.topology = TopologyKind::kSync;
-  spec.protocol = "sync-ring-lead";
-  spec.n = 10;
-  spec.trials = 24;
-  spec.seed = 99;
-  spec.step_limit = 4;  // sync-ring-lead needs n + 3 rounds
-  const auto result = verify::check_lane_differential(spec, /*threads=*/1);
-  EXPECT_TRUE(result.passed) << result.detail;
-}
-
-TEST(SyncLaneEngine, RunWindowValidatesSpans) {
-  SyncLaneEngine engine(8, SyncLaneKernelId::kSyncBroadcast, SyncLaneEngineOptions{});
-  std::vector<std::uint64_t> seeds(4, 1);
-  std::vector<LaneTrialResult> results(3);
-  EXPECT_THROW(engine.run_window(seeds, results), std::invalid_argument);
 }
 
 TEST(LaneEngine, BitIdenticalUnderEveryScheduler) {
@@ -211,24 +171,23 @@ TEST(Specializer, EligibilityIsStructural) {
   no_kernel.protocol = "peterson";
   EXPECT_FALSE(lane_eligible(no_kernel));
   EXPECT_NE(lane_ineligible_reason(no_kernel).find("peterson"), std::string::npos);
-  // Sync specs: honest lane-kernel protocols are eligible, deviated or
-  // kernel-less ones are not.
+  // Sync specs run on the one scalar sync runtime, honest or deviated,
+  // whatever the protocol: the topology alone makes them ineligible.
   ScenarioSpec sync;
   sync.topology = TopologyKind::kSync;
-  sync.protocol = "sync-broadcast-lead";
   sync.n = 8;
-  EXPECT_TRUE(lane_eligible(sync));
-  sync.protocol = "sync-ring-lead";
-  EXPECT_TRUE(lane_eligible(sync));
+  for (const char* protocol : {"sync-broadcast-lead", "sync-ring-lead"}) {
+    sync.protocol = protocol;
+    EXPECT_FALSE(lane_eligible(sync)) << protocol;
+    EXPECT_NE(lane_ineligible_reason(sync).find("topology 'sync' has no lane runtime"),
+              std::string::npos)
+        << lane_ineligible_reason(sync);
+  }
   ScenarioSpec sync_dev = sync;
   sync_dev.deviation = "sync-blind-collusion";
   EXPECT_FALSE(lane_eligible(sync_dev));
-  ScenarioSpec sync_other = sync;
-  sync_other.protocol = "basic-lead";
-  EXPECT_FALSE(lane_eligible(sync_other));
   // Eligible specs report no reason.
   EXPECT_TRUE(lane_ineligible_reason(spec).empty());
-  EXPECT_TRUE(lane_ineligible_reason(sync).empty());
 }
 
 TEST(Specializer, ForcedLanesRejectsIneligibleSpecs) {
@@ -248,6 +207,18 @@ TEST(Specializer, ForcedLanesRejectsIneligibleSpecs) {
   sync_dev.n = 8;
   sync_dev.engine = EngineKind::kLanes;
   EXPECT_THROW(run_scenario(sync_dev), std::invalid_argument);
+  // An honest sync spec has no lane runtime either; the error names the
+  // spec field.
+  ScenarioSpec sync = sync_dev;
+  sync.deviation.clear();
+  sync.coalition = CoalitionSpec{};
+  try {
+    (void)run_scenario(sync);
+    ADD_FAILURE() << "engine=lanes on a sync spec was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("ScenarioSpec.engine"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Specializer, RoutesEachSpecByEligibilityAlone) {

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "api/scenario.h"
 #include "protocols/sync_lead.h"
 #include "sim/sync_engine.h"
+#include "sim/transcript.h"
+#include "verify/fuzzer.h"
 
 namespace fle {
 namespace {
@@ -52,6 +57,96 @@ TEST(SyncEngine, RoundLimitStopsSpinners) {
   for (int i = 0; i < 3; ++i) s.push_back(std::make_unique<Spinner>());
   EXPECT_TRUE(engine.run(std::move(s)).failed());
   EXPECT_TRUE(engine.stats().round_limit_hit);
+}
+
+TEST(SyncEngine, PayloadsAreCopiedIntoTheRoundSlab) {
+  // Multi-word payloads arrive intact; a
+  // delivered payload (a view into this round's slab) can be forwarded
+  // as-is, and the caller's own buffer may change right after a send.
+  class Relay final : public SyncStrategy {
+   public:
+    explicit Relay(std::vector<std::vector<Value>>* seen) : seen_(seen) {}
+    void on_round(SyncContext& ctx, const SyncInbox& inbox) override {
+      if (ctx.id() == 0 && ctx.round() == 1) {
+        std::vector<Value> words = {7, 8, 9};
+        ctx.send(1, words);
+        words.assign({1, 2});
+        ctx.send(1, words);
+        ctx.broadcast({5});
+      }
+      if (ctx.id() == 1 && ctx.round() == 2) {
+        for (const auto& [from, payload] : inbox) {
+          if (from == 0 && payload.size() > 1) ctx.send(2, payload);
+        }
+      }
+      if (ctx.id() == 2) {
+        for (const auto& [from, payload] : inbox) {
+          seen_->push_back({static_cast<Value>(ctx.round()), static_cast<Value>(from)});
+          seen_->back().insert(seen_->back().end(), payload.begin(), payload.end());
+        }
+      }
+      if (ctx.round() == 3) ctx.terminate(0);
+    }
+
+   private:
+    std::vector<std::vector<Value>>* seen_;
+  };
+  std::vector<std::vector<Value>> seen;
+  SyncEngine engine(3, 1);
+  std::vector<std::unique_ptr<SyncStrategy>> s;
+  for (int p = 0; p < 3; ++p) s.push_back(std::make_unique<Relay>(&seen));
+  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  const std::vector<std::vector<Value>> expected = {
+      {2, 0, 5}, {3, 1, 7, 8, 9}, {3, 1, 1, 2}};  // (round, sender, words...)
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(engine.stats().total_sent, 6u);
+}
+
+// Golden executions of the registered sync shapes (plus a starving round
+// limit) through run_scenario: outcome counts, message totals, the round
+// maximum and a fold of every trial's transcript digest.  Any change to
+// delivery order, message accounting, the round structure or the
+// transcript stream of the sync round loop fails here.
+TEST(SyncEngine, RegisteredShapesMatchPinnedExecutions) {
+  struct Pinned {
+    const char* line;
+    std::size_t fails;
+    std::vector<std::size_t> counts;
+    std::uint64_t total_messages;
+    int max_rounds;
+    std::uint64_t digest_fold;
+  };
+  const Pinned pinned[] = {
+      {"topology=sync protocol=sync-broadcast-lead n=16 trials=200 seed=111", 0,
+       {15, 11, 11, 11, 10, 15, 10, 13, 14, 8, 13, 14, 12, 18, 14, 11}, 48000, 3,
+       0x54499ca72d25c2c2ull},
+      {"topology=sync protocol=sync-ring-lead n=12 trials=200 seed=112", 0,
+       {14, 17, 17, 18, 16, 14, 26, 15, 14, 17, 15, 17}, 26400, 13, 0x19356d54da42748full},
+      {"topology=sync protocol=sync-broadcast-lead deviation=sync-late-broadcast "
+       "placement=consecutive k=1 first=1 n=16 trials=100 seed=113",
+       100, std::vector<std::size_t>(16, 0), 24000, 4, 0x144ae238b4f62980ull},
+      {"topology=sync protocol=sync-broadcast-lead deviation=sync-blind-collusion "
+       "placement=custom members=0,1,2,3,4,5,6,7,9,10,11,12,13,14,15 n=16 trials=200 seed=114",
+       0, {16, 13, 6, 9, 8, 18, 11, 13, 14, 15, 8, 14, 15, 10, 20, 10}, 48000, 3,
+       0xa53be61ac39a25e5ull},
+      {"topology=sync protocol=sync-ring-lead n=10 trials=24 seed=99 step_limit=4", 24,
+       std::vector<std::size_t>(10, 0), 960, 4, 0x550bb4bb9acd456bull},
+  };
+  for (const Pinned& p : pinned) {
+    ScenarioSpec spec = verify::parse_spec(p.line);
+    spec.record_transcripts = true;
+    spec.threads = 2;
+    const ScenarioResult r = run_scenario(spec);
+    EXPECT_EQ(r.outcomes.fails(), p.fails) << p.line;
+    std::vector<std::size_t> counts;
+    for (int v = 0; v < r.outcomes.domain(); ++v) counts.push_back(r.outcomes.count(v));
+    EXPECT_EQ(counts, p.counts) << p.line;
+    EXPECT_EQ(r.total_messages, p.total_messages) << p.line;
+    EXPECT_EQ(r.max_rounds, p.max_rounds) << p.line;
+    std::vector<std::uint64_t> digests;
+    for (const ExecutionTranscript& t : r.per_trial_transcript) digests.push_back(t.digest());
+    EXPECT_EQ(transcript_fold(digests), p.digest_fold) << p.line;
+  }
 }
 
 TEST(SyncBroadcastLead, HonestElectsValidLeader) {
