@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "api/scenario.h"
 #include "sim/graph_engine.h"
+#include "sim/transcript.h"
+#include "verify/fuzzer.h"
 
 namespace fle {
 namespace {
@@ -160,6 +166,64 @@ TEST(GraphEngine, CountsSentAndReceived) {
   ASSERT_TRUE(engine.run(std::move(s)).valid());
   EXPECT_EQ(engine.stats().sent[0], 5u);
   EXPECT_EQ(engine.stats().received[1], 5u);
+}
+
+TEST(GraphEngine, RegisteredGraphShapesMatchPinnedExecutions) {
+  // The network-sync Shamir-LEAD shapes (honest n=8 and n=12, rushing k=5,
+  // forging k=5) under both link schedules, pinned by outcome counts,
+  // message totals and a fold of every trial's transcript digest.  In the
+  // step-limited rows every trial hits the limit and fails, so they pin
+  // where the limit cuts an execution.  Any change to the graph runtime or
+  // the Shamir strategies that alters an execution moves these values.
+  struct Pinned {
+    const char* line;
+    std::size_t fails;
+    std::vector<std::size_t> counts;
+    std::uint64_t total_messages;
+    std::uint64_t max_messages;
+    std::uint64_t digest_fold;
+  };
+  const Pinned pinned[] = {
+      {"topology=graph protocol=shamir-lead n=8 trials=200 seed=161",
+       0, {25, 24, 27, 24, 18, 29, 27, 26}, 33600, 168, 0x01c5d06a4f005b08ull},
+      {"topology=graph protocol=shamir-lead n=12 trials=100 seed=162",
+       0, {8, 8, 10, 8, 8, 9, 7, 5, 9, 9, 13, 6}, 39600, 396, 0x408a7d796f758a5aull},
+      {"topology=graph protocol=shamir-lead deviation=shamir-rushing "
+       "placement=consecutive k=5 first=1 target=7 n=8 trials=200 seed=163",
+       0, {0, 0, 0, 0, 0, 0, 0, 200}, 36800, 184, 0xb3f785cf07e85e1bull},
+      {"topology=graph protocol=shamir-lead deviation=shamir-forge "
+       "placement=consecutive k=5 first=0 target=11 n=12 trials=100 seed=164",
+       92, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8}, 40400, 404, 0xd0c97c718ee1d290ull},
+      {"topology=graph protocol=shamir-lead n=8 trials=200 seed=161 scheduler=random",
+       0, {25, 24, 27, 24, 18, 29, 27, 26}, 33600, 168, 0x0e66340ecbcdafb8ull},
+      {"topology=graph protocol=shamir-lead n=12 trials=100 seed=162 scheduler=random",
+       0, {8, 8, 10, 8, 8, 9, 7, 5, 9, 9, 13, 6}, 39600, 396, 0x9060fae0464daf56ull},
+      {"topology=graph protocol=shamir-lead deviation=shamir-rushing "
+       "placement=consecutive k=5 first=1 target=7 n=8 trials=200 seed=163 scheduler=random",
+       0, {0, 0, 0, 0, 0, 0, 0, 200}, 36800, 184, 0x8248683f17bdd71full},
+      {"topology=graph protocol=shamir-lead deviation=shamir-forge "
+       "placement=consecutive k=5 first=0 target=11 n=12 trials=100 seed=164 scheduler=random",
+       92, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8}, 40400, 404, 0x2e6220aa1711a7ccull},
+      {"topology=graph protocol=shamir-lead n=8 trials=40 seed=165 step_limit=100",
+       40, {0, 0, 0, 0, 0, 0, 0, 0}, 4760, 119, 0x693d91b8233165cfull},
+      {"topology=graph protocol=shamir-lead n=8 trials=40 seed=165 step_limit=100 scheduler=random",
+       40, {0, 0, 0, 0, 0, 0, 0, 0}, 4557, 126, 0x131987218f6ff25cull},
+  };
+  for (const Pinned& p : pinned) {
+    ScenarioSpec spec = verify::parse_spec(p.line);
+    spec.record_transcripts = true;
+    spec.threads = 2;
+    const ScenarioResult r = run_scenario(spec);
+    std::vector<std::size_t> counts;
+    for (int v = 0; v < r.outcomes.domain(); ++v) counts.push_back(r.outcomes.count(v));
+    std::vector<std::uint64_t> digests;
+    for (const ExecutionTranscript& t : r.per_trial_transcript) digests.push_back(t.digest());
+    EXPECT_EQ(r.outcomes.fails(), p.fails) << p.line;
+    EXPECT_EQ(counts, p.counts) << p.line;
+    EXPECT_EQ(r.total_messages, p.total_messages) << p.line;
+    EXPECT_EQ(r.max_messages, p.max_messages) << p.line;
+    EXPECT_EQ(transcript_fold(digests), p.digest_fold) << p.line;
+  }
 }
 
 }  // namespace
