@@ -224,7 +224,7 @@ void BM_GraphTrialReused(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_GraphTrialReused)->Arg(8)->Arg(16);
+BENCHMARK(BM_GraphTrialReused)->Arg(8)->Arg(12)->Arg(16);
 
 void BM_SyncTrialConstructEach(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

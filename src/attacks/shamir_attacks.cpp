@@ -1,6 +1,7 @@
 #include "attacks/shamir_attacks.h"
 
-#include <map>
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 namespace fle {
@@ -19,12 +20,14 @@ constexpr Value kForge = 13;       ///< {tag, owner, c}: pencil shift
 
 class ShamirRushingStrategy final : public ShamirLeadStrategy {
  public:
-  ShamirRushingStrategy(ProcessorId id, ShamirParams params, Value target,
-                        const Coalition& coalition)
-      : ShamirLeadStrategy(id, params), target_(target), coalition_(coalition) {
+  ShamirRushingStrategy(ProcessorId id, const LagrangeTable& lagrange, StrategyArena& arena,
+                        Value target, const Coalition& coalition)
+      : ShamirLeadStrategy(id, lagrange, arena), target_(target), coalition_(coalition) {
     leader_ = coalition_.members().front();
     if (id_ == leader_) {
-      pool_.assign(static_cast<std::size_t>(params_.n), {});
+      const auto n = static_cast<std::size_t>(params_.n);
+      pool_ = arena.array<Share>(n * static_cast<std::size_t>(coalition_.k()));
+      pool_size_ = arena.array<int>(n);
     }
   }
 
@@ -33,7 +36,7 @@ class ShamirRushingStrategy final : public ShamirLeadStrategy {
     // asynchronous network) until the leader assigns our secret.
   }
 
-  void on_receive(GraphContext& ctx, ProcessorId from, const GraphMessage& m) override {
+  void on_receive(GraphContext& ctx, ProcessorId from, GraphPayload m) override {
     if (m.empty()) return;
     if (m[0] == kCoordShare) {
       if (id_ != leader_ || m.size() != 3) return;
@@ -61,16 +64,25 @@ class ShamirRushingStrategy final : public ShamirLeadStrategy {
   // when reconstruction succeeded (and an unbiased value otherwise).
 
  private:
+  /// The shares pooled for `owner`, in arrival order.
+  [[nodiscard]] std::span<Share> pooled(ProcessorId owner) {
+    const auto o = static_cast<std::size_t>(owner);
+    const auto k = static_cast<std::size_t>(coalition_.k());
+    return pool_.subspan(o * k, static_cast<std::size_t>(pool_size_[o]));
+  }
+
   void add_to_pool(GraphContext& ctx, ProcessorId owner, ProcessorId holder, Fp y) {
-    auto& entries = pool_[static_cast<std::size_t>(owner)];
-    entries.push_back(Share{Fp(static_cast<std::uint64_t>(holder) + 1), y});
+    // One share per (owner, member) arrives; anything beyond is dropped.
+    if (owner < 0 || owner >= params_.n) return;
+    int& size = pool_size_[static_cast<std::size_t>(owner)];
+    if (size == coalition_.k()) return;
+    pool_[static_cast<std::size_t>(owner) * static_cast<std::size_t>(coalition_.k()) +
+          static_cast<std::size_t>(size++)] = Share{Fp(static_cast<std::uint64_t>(holder) + 1), y};
     if (assigned_) return;
     // Complete once every honest owner has one share per coalition member.
     for (ProcessorId o = 0; o < params_.n; ++o) {
       if (coalition_.contains(o)) continue;
-      if (static_cast<int>(pool_[static_cast<std::size_t>(o)].size()) < coalition_.k()) {
-        return;
-      }
+      if (pool_size_[static_cast<std::size_t>(o)] < coalition_.k()) return;
     }
     assigned_ = true;
     assign_secrets(ctx);
@@ -81,13 +93,13 @@ class ShamirRushingStrategy final : public ShamirLeadStrategy {
     Value s_honest = 0;
     for (ProcessorId o = 0; o < params_.n; ++o) {
       if (coalition_.contains(o)) continue;
-      const auto& entries = pool_[static_cast<std::size_t>(o)];
+      const std::span<const Share> entries = pooled(o);
       // With k >= t the first t points reconstruct exactly; below the
       // threshold this yields garbage and the attack (provably) degrades to
       // an unbiased guess.
       const std::size_t use =
           std::min(entries.size(), static_cast<std::size_t>(params_.t));
-      const Fp secret = shamir_reconstruct(std::span<const Share>(entries).first(use));
+      const Fp secret = shamir_reconstruct(entries.first(use));
       s_honest = (s_honest + secret.value() % nv) % nv;
     }
     const Value mine = (target_ + nv - s_honest) % nv;
@@ -102,7 +114,8 @@ class ShamirRushingStrategy final : public ShamirLeadStrategy {
   const Coalition& coalition_;
   ProcessorId leader_ = 0;
   bool assigned_ = false;
-  std::vector<std::vector<Share>> pool_;  ///< by owner (leader only)
+  std::span<Share> pool_;     ///< n x k, by owner (leader only)
+  std::span<int> pool_size_;  ///< pooled shares, by owner (leader only)
 };
 
 // ---------------------------------------------------------------------------
@@ -112,22 +125,24 @@ class ShamirRushingStrategy final : public ShamirLeadStrategy {
 
 class ShamirForgeStrategy final : public ShamirLeadStrategy {
  public:
-  ShamirForgeStrategy(ProcessorId id, ShamirParams params, Value target,
-                      const Coalition& coalition)
-      : ShamirLeadStrategy(id, params), target_(target), coalition_(coalition) {
+  ShamirForgeStrategy(ProcessorId id, const LagrangeTable& lagrange, StrategyArena& arena,
+                      Value target, const Coalition& coalition)
+      : ShamirLeadStrategy(id, lagrange, arena), target_(target), coalition_(coalition) {
     leader_ = coalition_.members().front();
     if (id_ == leader_) {
-      member_vecs_.assign(static_cast<std::size_t>(params_.n), std::nullopt);
+      const auto n = static_cast<std::size_t>(params_.n);
+      member_vecs_ = arena.array<Fp>(n * n);
+      member_vec_from_ = arena.array<bool>(n);
     }
   }
 
-  void on_receive(GraphContext& ctx, ProcessorId from, const GraphMessage& m) override {
+  void on_receive(GraphContext& ctx, ProcessorId from, GraphPayload m) override {
     if (m.empty()) return;
     if (m[0] == kCoordVec) {
       if (id_ != leader_ || m.size() != static_cast<std::size_t>(params_.n) + 1) return;
-      std::vector<Fp> v;
-      for (std::size_t i = 1; i < m.size(); ++i) v.emplace_back(m[i]);
-      member_vecs_[static_cast<std::size_t>(from)] = std::move(v);
+      const std::span<Fp> row = member_vec(from);
+      for (std::size_t i = 0; i < row.size(); ++i) row[i] = Fp(m[i + 1]);
+      member_vec_from_[static_cast<std::size_t>(from)] = true;
       maybe_forge(ctx);
       return;
     }
@@ -146,9 +161,9 @@ class ShamirForgeStrategy final : public ShamirLeadStrategy {
     // Deviation point: do not reveal yet.  Members ship their held shares
     // to the leader; the leader waits for every honest reveal.
     if (id_ != leader_) {
-      GraphMessage m{kCoordVec};
-      for (const auto& h : held_) m.push_back(h->value());
-      ctx.send(leader_, std::move(m));
+      wire_[0] = kCoordVec;
+      for (std::size_t o = 0; o < held_.size(); ++o) wire_[o + 1] = held_[o]->value();
+      ctx.send(leader_, wire_);
     } else {
       ready_to_forge_ = true;
       maybe_forge(ctx);
@@ -185,8 +200,8 @@ class ShamirForgeStrategy final : public ShamirLeadStrategy {
     // Need every honest reveal and every member's held vector.
     for (ProcessorId p = 0; p < params_.n; ++p) {
       if (coalition_.contains(p)) {
-        if (p != id_ && !member_vecs_[static_cast<std::size_t>(p)].has_value()) return;
-      } else if (!reveals_[static_cast<std::size_t>(p)].has_value()) {
+        if (p != id_ && !member_vec_from_[static_cast<std::size_t>(p)]) return;
+      } else if (!revealed_from_[static_cast<std::size_t>(p)]) {
         return;
       }
     }
@@ -196,23 +211,16 @@ class ShamirForgeStrategy final : public ShamirLeadStrategy {
     // coalition-held vectors).
     const auto nv = static_cast<Value>(params_.n);
     auto point_of = [&](ProcessorId holder, ProcessorId owner) {
-      const Fp x(static_cast<std::uint64_t>(holder) + 1);
-      if (holder == id_) return Share{x, *held_[static_cast<std::size_t>(owner)]};
-      if (coalition_.contains(holder)) {
-        return Share{x,
-                     (*member_vecs_[static_cast<std::size_t>(holder)])[static_cast<std::size_t>(
-                         owner)]};
-      }
-      return Share{
-          x, (*reveals_[static_cast<std::size_t>(holder)])[static_cast<std::size_t>(owner)]};
+      const auto o = static_cast<std::size_t>(owner);
+      if (holder == id_) return *held_[o];
+      return coalition_.contains(holder) ? member_vec(holder)[o] : reveal_row(holder)[o];
     };
     Value sum = 0;
     for (ProcessorId o = 0; o < params_.n; ++o) {
-      std::vector<Share> pts;
       for (ProcessorId holder = 0; holder < params_.t; ++holder) {
-        pts.push_back(point_of(holder, o));
+        points_[static_cast<std::size_t>(holder)] = point_of(holder, o);
       }
-      sum = (sum + shamir_reconstruct(pts).value() % nv) % nv;
+      sum = (sum + lagrange_.reconstruct(points_).value() % nv) % nv;
     }
     // Shift our own secret so the sum becomes the target:
     // new value v = secret + (w - sum); c = (v - secret) / Z(0).
@@ -228,14 +236,19 @@ class ShamirForgeStrategy final : public ShamirLeadStrategy {
   void emit_forged_reveal(GraphContext& ctx, ProcessorId owner, Fp c) {
     if (revealed_forged_) return;
     revealed_forged_ = true;
-    std::vector<Fp> values;
-    values.reserve(static_cast<std::size_t>(params_.n));
+    const std::span<Fp> values = own_reveal();
     for (ProcessorId o = 0; o < params_.n; ++o) {
       Fp y = *held_[static_cast<std::size_t>(o)];
       if (o == owner) y = y + c * z_at(Fp(static_cast<std::uint64_t>(id_) + 1));
-      values.push_back(y);
+      values[static_cast<std::size_t>(o)] = y;
     }
-    broadcast_reveal(ctx, std::move(values));
+    broadcast_reveal(ctx);
+  }
+
+  /// Member `holder`'s held shares, by owner (leader only).
+  [[nodiscard]] std::span<Fp> member_vec(ProcessorId holder) {
+    const auto n = static_cast<std::size_t>(params_.n);
+    return member_vecs_.subspan(static_cast<std::size_t>(holder) * n, n);
   }
 
   Value target_;
@@ -244,51 +257,56 @@ class ShamirForgeStrategy final : public ShamirLeadStrategy {
   bool ready_to_forge_ = false;
   bool forged_ = false;
   bool revealed_forged_ = false;
-  std::vector<std::optional<std::vector<Fp>>> member_vecs_;  ///< leader only
+  std::span<Fp> member_vecs_;       ///< n x n, row = member (leader only)
+  std::span<bool> member_vec_from_;  ///< by member (leader only)
 };
 
 }  // namespace
 
 ShamirRushingDeviation::ShamirRushingDeviation(Coalition coalition, Value target,
                                                const ShamirLeadProtocol& protocol)
-    : coalition_(std::move(coalition)), target_(target), params_(protocol.params()) {
-  if (coalition_.n() != params_.n) throw std::invalid_argument("network size mismatch");
-  if (target_ >= static_cast<Value>(params_.n)) {
+    : coalition_(std::move(coalition)),
+      target_(target),
+      lagrange_(protocol.lagrange()) {
+  if (coalition_.n() != lagrange_.n()) throw std::invalid_argument("network size mismatch");
+  if (target_ >= static_cast<Value>(lagrange_.n())) {
     throw std::invalid_argument("target out of range");
   }
 }
 
 std::unique_ptr<GraphStrategy> ShamirRushingDeviation::make_adversary(ProcessorId id,
-                                                                      int /*n*/) const {
-  if (!coalition_.contains(id)) throw std::invalid_argument("not a coalition member");
-  return std::make_unique<ShamirRushingStrategy>(id, params_, target_, coalition_);
+                                                                      int n) const {
+  return std::make_unique<ArenaOwnedStrategy>(
+      [&](StrategyArena& arena) { return emplace_adversary(arena, id, n); });
 }
 
 GraphStrategy* ShamirRushingDeviation::emplace_adversary(StrategyArena& arena, ProcessorId id,
                                                          int /*n*/) const {
   if (!coalition_.contains(id)) throw std::invalid_argument("not a coalition member");
-  return arena.emplace<ShamirRushingStrategy>(id, params_, target_, coalition_);
+  return arena.emplace<ShamirRushingStrategy>(id, lagrange_, arena, target_, coalition_);
 }
 
 ShamirForgeDeviation::ShamirForgeDeviation(Coalition coalition, Value target,
                                            const ShamirLeadProtocol& protocol)
-    : coalition_(std::move(coalition)), target_(target), params_(protocol.params()) {
-  if (coalition_.n() != params_.n) throw std::invalid_argument("network size mismatch");
-  if (target_ >= static_cast<Value>(params_.n)) {
+    : coalition_(std::move(coalition)),
+      target_(target),
+      lagrange_(protocol.lagrange()) {
+  if (coalition_.n() != lagrange_.n()) throw std::invalid_argument("network size mismatch");
+  if (target_ >= static_cast<Value>(lagrange_.n())) {
     throw std::invalid_argument("target out of range");
   }
 }
 
 std::unique_ptr<GraphStrategy> ShamirForgeDeviation::make_adversary(ProcessorId id,
-                                                                    int /*n*/) const {
-  if (!coalition_.contains(id)) throw std::invalid_argument("not a coalition member");
-  return std::make_unique<ShamirForgeStrategy>(id, params_, target_, coalition_);
+                                                                    int n) const {
+  return std::make_unique<ArenaOwnedStrategy>(
+      [&](StrategyArena& arena) { return emplace_adversary(arena, id, n); });
 }
 
 GraphStrategy* ShamirForgeDeviation::emplace_adversary(StrategyArena& arena, ProcessorId id,
                                                        int /*n*/) const {
   if (!coalition_.contains(id)) throw std::invalid_argument("not a coalition member");
-  return arena.emplace<ShamirForgeStrategy>(id, params_, target_, coalition_);
+  return arena.emplace<ShamirForgeStrategy>(id, lagrange_, arena, target_, coalition_);
 }
 
 }  // namespace fle

@@ -40,13 +40,13 @@ class ShamirRushingDeviation final : public GraphDeviation {
 
   /// True iff the coalition holds enough shares to reconstruct early.
   [[nodiscard]] bool reconstruction_possible() const {
-    return coalition_.k() >= params_.t;
+    return coalition_.k() >= lagrange_.t();
   }
 
  private:
   Coalition coalition_;
   Value target_;
-  ShamirParams params_;
+  LagrangeTable lagrange_;  ///< copied from the protocol; fixes n and t
 };
 
 /// Reveal-forging attack; controls the outcome iff honest count < t
@@ -63,13 +63,13 @@ class ShamirForgeDeviation final : public GraphDeviation {
 
   /// True iff the honest points no longer pin the polynomials.
   [[nodiscard]] bool forging_possible() const {
-    return coalition_.n() - coalition_.k() <= params_.t - 1;
+    return coalition_.n() - coalition_.k() <= lagrange_.t() - 1;
   }
 
  private:
   Coalition coalition_;
   Value target_;
-  ShamirParams params_;
+  LagrangeTable lagrange_;  ///< copied from the protocol; fixes n and t
 };
 
 }  // namespace fle

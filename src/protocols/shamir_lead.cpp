@@ -1,26 +1,33 @@
 #include "protocols/shamir_lead.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace fle {
 
 std::unique_ptr<GraphStrategy> ShamirLeadProtocol::make_strategy(ProcessorId id,
                                                                  int n) const {
-  if (n != params_.n) throw std::invalid_argument("network size mismatch");
-  return std::make_unique<ShamirLeadStrategy>(id, params_);
+  return std::make_unique<ArenaOwnedStrategy>(
+      [&](StrategyArena& arena) { return emplace_strategy(arena, id, n); });
 }
 
 GraphStrategy* ShamirLeadProtocol::emplace_strategy(StrategyArena& arena, ProcessorId id,
                                                     int n) const {
   if (n != params_.n) throw std::invalid_argument("network size mismatch");
-  return arena.emplace<ShamirLeadStrategy>(id, params_);
+  return arena.emplace<ShamirLeadStrategy>(id, lagrange_, arena);
 }
 
-ShamirLeadStrategy::ShamirLeadStrategy(ProcessorId id, ShamirParams params)
-    : id_(id), params_(params) {
-  held_.assign(static_cast<std::size_t>(params_.n), std::nullopt);
-  ready_from_.assign(static_cast<std::size_t>(params_.n), 0);
-  reveals_.assign(static_cast<std::size_t>(params_.n), std::nullopt);
+ShamirLeadStrategy::ShamirLeadStrategy(ProcessorId id, const LagrangeTable& lagrange,
+                                       StrategyArena& arena)
+    : id_(id), params_{lagrange.n(), lagrange.t()}, lagrange_(lagrange) {
+  const auto n = static_cast<std::size_t>(params_.n);
+  held_ = arena.array<std::optional<Fp>>(n);
+  ready_from_ = arena.array<bool>(n);
+  reveals_ = arena.array<Fp>(n * n);
+  revealed_from_ = arena.array<bool>(n);
+  points_ = arena.array<Fp>(n);
+  coeffs_ = arena.array<Fp>(static_cast<std::size_t>(params_.t));
+  wire_ = arena.array<Value>(n + 1);
 }
 
 void ShamirLeadStrategy::on_init(GraphContext& ctx) {
@@ -37,14 +44,14 @@ void ShamirLeadStrategy::distribute(GraphContext& ctx, Value secret) {
   assert(!distributed_);
   distributed_ = true;
   secret_ = secret;
-  const auto shares = shamir_share(Fp(secret), params_.t, params_.n, ctx.tape().raw());
+  shamir_polynomial(Fp(secret), coeffs_, ctx.tape().raw());
   for (ProcessorId j = 0; j < params_.n; ++j) {
+    const Fp y = shamir_evaluate(coeffs_, Fp(static_cast<std::uint64_t>(j) + 1));
     if (j == id_) {
-      held_[static_cast<std::size_t>(id_)] = shares[static_cast<std::size_t>(j)].y;
+      held_[static_cast<std::size_t>(id_)] = y;
       ++shares_count_;
     } else {
-      ctx.send(j, {static_cast<Value>(ShamirTag::kShare),
-                   shares[static_cast<std::size_t>(j)].y.value()});
+      ctx.send(j, {static_cast<Value>(ShamirTag::kShare), y.value()});
     }
   }
   maybe_advance(ctx);
@@ -53,8 +60,8 @@ void ShamirLeadStrategy::distribute(GraphContext& ctx, Value secret) {
 void ShamirLeadStrategy::maybe_advance(GraphContext& ctx) {
   if (dead_) return;
   // Share barrier -> READY broadcast (commitment point).
-  if (shares_count_ == params_.n && ready_from_[static_cast<std::size_t>(id_)] == 0) {
-    ready_from_[static_cast<std::size_t>(id_)] = 1;
+  if (shares_count_ == params_.n && !ready_from_[static_cast<std::size_t>(id_)]) {
+    ready_from_[static_cast<std::size_t>(id_)] = true;
     ++ready_count_;
     for (ProcessorId j = 0; j < params_.n; ++j) {
       if (j != id_) ctx.send(j, {static_cast<Value>(ShamirTag::kReady)});
@@ -69,30 +76,32 @@ void ShamirLeadStrategy::maybe_advance(GraphContext& ctx) {
 }
 
 void ShamirLeadStrategy::send_reveal(GraphContext& ctx) {
-  std::vector<Fp> mine;
-  mine.reserve(static_cast<std::size_t>(params_.n));
-  for (const auto& h : held_) mine.push_back(*h);
-  broadcast_reveal(ctx, std::move(mine));
+  std::transform(held_.begin(), held_.end(), own_reveal().begin(),
+                 [](const std::optional<Fp>& h) { return *h; });
+  broadcast_reveal(ctx);
 }
 
-void ShamirLeadStrategy::broadcast_reveal(GraphContext& ctx, std::vector<Fp> values) {
-  GraphMessage m{static_cast<Value>(ShamirTag::kReveal)};
-  for (const Fp v : values) m.push_back(v.value());
+void ShamirLeadStrategy::broadcast_reveal(GraphContext& ctx) {
+  wire_[0] = static_cast<Value>(ShamirTag::kReveal);
+  std::transform(own_reveal().begin(), own_reveal().end(), wire_.begin() + 1,
+                 [](Fp v) { return v.value(); });
   for (ProcessorId j = 0; j < params_.n; ++j) {
-    if (j != id_) ctx.send(j, m);
+    if (j != id_) ctx.send(j, wire_);
   }
-  reveals_[static_cast<std::size_t>(id_)] = std::move(values);
+  revealed_from_[static_cast<std::size_t>(id_)] = true;
   ++reveal_count_;
   if (reveal_count_ == params_.n) finalize(ctx);
 }
 
-void ShamirLeadStrategy::on_receive(GraphContext& ctx, ProcessorId from,
-                                    const GraphMessage& m) {
+void ShamirLeadStrategy::on_receive(GraphContext& ctx, ProcessorId from, GraphPayload m) {
   if (dead_) return;
   if (m.empty()) return fail(ctx);
+  // Field words arrive canonical from every honest sender.
+  const auto in_field = [](Value word) { return word < Fp::kP; };
   switch (static_cast<ShamirTag>(m[0])) {
     case ShamirTag::kShare: {
-      if (m.size() != 2 || held_[static_cast<std::size_t>(from)].has_value()) {
+      if (m.size() != 2 || held_[static_cast<std::size_t>(from)].has_value() ||
+          !in_field(m[1])) {
         return fail(ctx);
       }
       held_[static_cast<std::size_t>(from)] = Fp(m[1]);
@@ -100,22 +109,20 @@ void ShamirLeadStrategy::on_receive(GraphContext& ctx, ProcessorId from,
       break;
     }
     case ShamirTag::kReady: {
-      if (m.size() != 1 || ready_from_[static_cast<std::size_t>(from)] != 0) {
-        return fail(ctx);
-      }
-      ready_from_[static_cast<std::size_t>(from)] = 1;
+      if (m.size() != 1 || ready_from_[static_cast<std::size_t>(from)]) return fail(ctx);
+      ready_from_[static_cast<std::size_t>(from)] = true;
       ++ready_count_;
       break;
     }
     case ShamirTag::kReveal: {
       if (m.size() != static_cast<std::size_t>(params_.n) + 1 ||
-          reveals_[static_cast<std::size_t>(from)].has_value()) {
+          revealed_from_[static_cast<std::size_t>(from)] ||
+          !std::all_of(m.begin() + 1, m.end(), in_field)) {
         return fail(ctx);
       }
-      std::vector<Fp> v;
-      v.reserve(static_cast<std::size_t>(params_.n));
-      for (std::size_t i = 1; i < m.size(); ++i) v.emplace_back(m[i]);
-      reveals_[static_cast<std::size_t>(from)] = std::move(v);
+      const std::span<Fp> row = reveal_row(from);
+      for (std::size_t i = 0; i < row.size(); ++i) row[i] = Fp(m[i + 1]);
+      revealed_from_[static_cast<std::size_t>(from)] = true;
       ++reveal_count_;
       break;
     }
@@ -125,16 +132,12 @@ void ShamirLeadStrategy::on_receive(GraphContext& ctx, ProcessorId from,
   maybe_advance(ctx);
 }
 
-std::optional<Fp> ShamirLeadStrategy::reconstruct(ProcessorId owner) const {
-  std::vector<Share> points;
-  points.reserve(static_cast<std::size_t>(params_.n));
+std::optional<Fp> ShamirLeadStrategy::reconstruct(ProcessorId owner) {
   for (ProcessorId j = 0; j < params_.n; ++j) {
-    const auto& rev = reveals_[static_cast<std::size_t>(j)];
-    if (!rev.has_value()) return std::nullopt;
-    points.push_back(Share{Fp(static_cast<std::uint64_t>(j) + 1),
-                           (*rev)[static_cast<std::size_t>(owner)]});
+    if (!revealed_from_[static_cast<std::size_t>(j)]) return std::nullopt;
+    points_[static_cast<std::size_t>(j)] = reveal_row(j)[static_cast<std::size_t>(owner)];
   }
-  return shamir_reconstruct_checked(points, params_.t);
+  return lagrange_.reconstruct_checked(points_);
 }
 
 void ShamirLeadStrategy::finalize(GraphContext& ctx) {

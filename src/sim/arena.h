@@ -8,6 +8,11 @@
 // resets the bump pointer, so the next trial's emplace calls reuse the same
 // memory.  After the first trial of a scenario the arena is allocation-free.
 //
+// Strategies whose state is sized by n (share vectors, reveal matrices)
+// take it from array<T>(count): a value-initialized span carved from the
+// same chunks and released by the same rewind, so that state stops costing
+// an allocation per trial too.
+//
 // Factories that have not been migrated to emplace() can hand ownership of a
 // conventionally heap-allocated object to the arena via adopt(); rewind()
 // then deletes it.  This keeps the one compose path working for every
@@ -17,6 +22,8 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,6 +46,22 @@ class StrategyArena {
     T* object = new (slot) T(std::forward<Args>(args)...);
     finalizers_.push_back({object, [](void* p) { static_cast<T*>(p)->~T(); }});
     return object;
+  }
+
+  /// A value-initialized array of `count` Ts inside the arena, valid until
+  /// the next rewind().  No destructor runs, hence the trivial-destructor
+  /// requirement.
+  template <typename T>
+  std::span<T> array(std::size_t count) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena arrays are released without running destructors");
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "over-aligned arrays need a dedicated allocation path");
+    if (count == 0) return {};
+    if (count > SIZE_MAX / sizeof(T)) throw std::bad_array_new_length();
+    T* first = static_cast<T*>(allocate(sizeof(T) * count, alignof(T)));
+    std::uninitialized_value_construct_n(first, count);
+    return {first, count};
   }
 
   /// Takes ownership of a heap-allocated object; deleted at the next

@@ -12,7 +12,7 @@ class GraphEngine::Context final : public GraphContext {
 
   void reseed(std::uint64_t trial_seed) { tape_ = RandomTape(trial_seed, id_); }
 
-  void send(ProcessorId to, GraphMessage message) override {
+  void send(ProcessorId to, GraphPayload payload) override {
     if (engine_->terminated_[static_cast<std::size_t>(id_)]) {
       throw std::logic_error("strategy sent after terminating");
     }
@@ -24,7 +24,7 @@ class GraphEngine::Context final : public GraphContext {
                                    [static_cast<std::size_t>(to)] == 0) {
       throw std::invalid_argument("send along a non-existent link");
     }
-    engine_->enqueue(id_, to, std::move(message));
+    engine_->enqueue(id_, to, payload);
   }
 
   void terminate(Value output) override { finish(LocalOutput{false, output}); }
@@ -91,6 +91,7 @@ void GraphEngine::reset(std::uint64_t trial_seed, std::uint64_t schedule_seed) {
   strategies_ = {};
   for (Context& context : contexts_) context.reseed(trial_seed);
   for (auto& link : links_) link.clear();
+  slab_.clear();
   outputs_.assign(static_cast<std::size_t>(n_), std::nullopt);
   terminated_.assign(static_cast<std::size_t>(n_), false);
   ready_.clear();
@@ -122,27 +123,36 @@ void GraphEngine::unmark_ready(int link) {
   pos = -1;
 }
 
-void GraphEngine::enqueue(ProcessorId from, ProcessorId to, GraphMessage m) {
+void GraphEngine::enqueue(ProcessorId from, ProcessorId to, GraphPayload payload) {
   ++stats_.total_sent;
   ++stats_.sent[static_cast<std::size_t>(from)];
   if (terminated_[static_cast<std::size_t>(to)]) return;  // receiver gone
+  // The payload never views slab_ (strategies only see delivery_), so the
+  // insert may reallocate freely.
+  const std::size_t offset = slab_.size();
+  slab_.insert(slab_.end(), payload.begin(), payload.end());
   const int link = link_index(from, to);
-  links_[static_cast<std::size_t>(link)].push_back(std::move(m));
+  links_[static_cast<std::size_t>(link)].push_back(Slot{offset, payload.size()});
   mark_ready(link);
 }
 
 void GraphEngine::deliver(int link) {
   auto& q = links_[static_cast<std::size_t>(link)];
   assert(!q.empty());
-  const GraphMessage m = q.pop_front();
+  const Slot slot = q.pop_front();
   if (q.empty()) unmark_ready(link);
+  // Copied out of the slab: the receiver's own sends may grow (and move)
+  // the slab while it reads the message.
+  const auto first = slab_.begin() + static_cast<std::ptrdiff_t>(slot.offset);
+  delivery_.assign(first, first + static_cast<std::ptrdiff_t>(slot.length));
+  const GraphPayload m(delivery_);
   const ProcessorId from = link / n_;
   const ProcessorId to = link % n_;
   ++stats_.received[static_cast<std::size_t>(to)];
   ++stats_.deliveries;
   if (transcript_) {
     transcript_->delivery(stats_.deliveries, static_cast<std::uint64_t>(link),
-                          transcript_fold(std::span<const std::uint64_t>(m)));
+                          transcript_fold(m));
   }
   strategies_[static_cast<std::size_t>(to)]->on_receive(contexts_[static_cast<std::size_t>(to)],
                                                         from, m);

@@ -5,14 +5,21 @@
 // structure; general networks (the paper's fully-connected related-work
 // baselines, Section 1.1, and the tree topologies of Section 7) need
 // per-link FIFO queues and a scheduler that picks among *links* — still
-// oblivious: it never sees message contents.  Messages are value vectors
-// (the paper allows unlimited-size messages).
+// oblivious: it never sees message contents.  A message is any number of
+// Value words (the paper allows unlimited-size messages).
 //
-// Like the ring engine, one instance is reusable across trials: the link
-// queues are flat ring buffers (sim/inbox.h) and reset(trial_seed) clears
-// state in place instead of reallocating (DESIGN.md §4).
+// Memory model (DESIGN.md §4): payloads never own heap memory.  A send
+// copies its words into the engine's per-trial payload slab and queues an
+// (offset, length) entry on its link's flat FIFO (sim/inbox.h).  Delivery
+// copies the payload into a reused scratch buffer and hands the strategy a
+// span over it, so the strategy may keep sending — and growing the slab —
+// while it still reads the message.  reset(trial_seed) rewinds the slab and
+// clears the queues in place, so a reused engine runs steady-state trials
+// without touching the allocator.
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -26,14 +33,21 @@
 
 namespace fle {
 
-using GraphMessage = std::vector<Value>;
+/// One delivered message's payload, viewed in the engine's delivery
+/// buffer.  Valid until the receiving on_receive call returns.
+using GraphPayload = std::span<const Value>;
 
 class GraphContext {
  public:
   virtual ~GraphContext() = default;
   /// Send along the link to `to` (must be a neighbour; fully connected by
-  /// default).  FIFO per link.
-  virtual void send(ProcessorId to, GraphMessage message) = 0;
+  /// default).  FIFO per link.  The payload is copied, so it may view a
+  /// delivered message.
+  virtual void send(ProcessorId to, GraphPayload payload) = 0;
+  /// Brace-list payloads: ctx.send(to, {tag, y}).
+  void send(ProcessorId to, std::initializer_list<Value> payload) {
+    send(to, GraphPayload(payload.begin(), payload.size()));
+  }
   virtual void terminate(Value output) = 0;
   virtual void abort() = 0;
   [[nodiscard]] virtual ProcessorId id() const = 0;
@@ -45,7 +59,26 @@ class GraphStrategy {
  public:
   virtual ~GraphStrategy() = default;
   virtual void on_init(GraphContext& /*ctx*/) {}
-  virtual void on_receive(GraphContext& ctx, ProcessorId from, const GraphMessage& m) = 0;
+  virtual void on_receive(GraphContext& ctx, ProcessorId from, GraphPayload m) = 0;
+};
+
+/// Owning adapter for a strategy built in a StrategyArena: it keeps a
+/// private arena, builds the strategy there with `emplace(arena)`, and
+/// forwards every callback.  Lets make_strategy serve protocols whose
+/// strategies take their state from the arena.
+class ArenaOwnedStrategy final : public GraphStrategy {
+ public:
+  template <typename Emplace>
+  explicit ArenaOwnedStrategy(Emplace&& emplace) : inner_(emplace(arena_)) {}
+
+  void on_init(GraphContext& ctx) override { inner_->on_init(ctx); }
+  void on_receive(GraphContext& ctx, ProcessorId from, GraphPayload m) override {
+    inner_->on_receive(ctx, from, m);
+  }
+
+ private:
+  StrategyArena arena_;
+  GraphStrategy* inner_;
 };
 
 class GraphProtocol {
@@ -91,10 +124,11 @@ class GraphEngine {
   GraphEngine(const GraphEngine&) = delete;
   GraphEngine& operator=(const GraphEngine&) = delete;
 
-  /// Rearms for a fresh execution: clears links/outputs/stats in place and
-  /// reseeds the tapes and the link schedule.  The one-argument form reuses
-  /// the options' schedule_seed; the two-argument form substitutes a new
-  /// one (run_scenario passes the trial seed for both).
+  /// Rearms for a fresh execution: rewinds the payload slab, clears
+  /// links/outputs/stats in place and reseeds the tapes and the link
+  /// schedule.  The one-argument form reuses the options' schedule_seed;
+  /// the two-argument form substitutes a new one (run_scenario passes the
+  /// trial seed for both).
   void reset(std::uint64_t trial_seed);
   void reset(std::uint64_t trial_seed, std::uint64_t schedule_seed);
 
@@ -114,7 +148,7 @@ class GraphEngine {
 
   /// Optional execution transcript (see RingEngine::set_transcript).
   /// Deliveries record (step, link id = from*n + to, payload fold); the
-  /// payload itself is a value vector, so the stream carries its
+  /// payload itself is a word sequence, so the stream carries its
   /// transcript_fold fingerprint.
   void set_transcript(ExecutionTranscript* transcript) { transcript_ = transcript; }
   [[nodiscard]] ExecutionTranscript* transcript() const { return transcript_; }
@@ -126,7 +160,14 @@ class GraphEngine {
   [[nodiscard]] int link_index(ProcessorId from, ProcessorId to) const {
     return from * n_ + to;
   }
-  void enqueue(ProcessorId from, ProcessorId to, GraphMessage m);
+  /// Where a queued message's payload sits in the slab.
+  struct Slot {
+    std::size_t offset;
+    std::size_t length;
+  };
+  /// Counts one send; unless `to` has terminated, copies the payload into
+  /// the slab and queues its slot on the link.
+  void enqueue(ProcessorId from, ProcessorId to, GraphPayload payload);
   void deliver(int link);
   void mark_ready(int link);
   void unmark_ready(int link);
@@ -143,7 +184,9 @@ class GraphEngine {
   std::span<GraphStrategy* const> strategies_;
   std::vector<std::unique_ptr<GraphStrategy>> owned_strategies_;
   std::vector<Context> contexts_;
-  std::vector<FlatQueue<GraphMessage>> links_;  ///< indexed by link_index
+  std::vector<FlatQueue<Slot>> links_;  ///< indexed by link_index
+  std::vector<Value> slab_;      ///< every payload queued this trial
+  std::vector<Value> delivery_;  ///< the payload being delivered
   std::vector<std::optional<LocalOutput>> outputs_;
   std::vector<bool> terminated_;
 

@@ -76,7 +76,7 @@ void leb128_put(std::vector<std::uint8_t>& out, std::uint64_t value);
 std::uint64_t leb128_get(std::span<const std::uint8_t> bytes, std::size_t& index);
 
 /// FNV-1a fold of a word sequence; the payload fingerprint graph/sync
-/// deliveries carry in their `c` slot (messages there are value vectors).
+/// deliveries carry in their `c` slot (messages there are word sequences).
 std::uint64_t transcript_fold(std::span<const std::uint64_t> words);
 
 class ExecutionTranscript {

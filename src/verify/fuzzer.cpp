@@ -122,11 +122,11 @@ class FuzzTokenGraphStrategy final : public GraphStrategy {
   void on_init(GraphContext& ctx) override {
     if (id_ == 0) {
       leader_ = ctx.tape().uniform(static_cast<Value>(n_));
-      ctx.send(ring_succ(id_, n_), GraphMessage{leader_});
+      ctx.send(ring_succ(id_, n_), {leader_});
     }
   }
 
-  void on_receive(GraphContext& ctx, ProcessorId /*from*/, const GraphMessage& m) override {
+  void on_receive(GraphContext& ctx, ProcessorId /*from*/, GraphPayload m) override {
     if (done_) return;
     done_ = true;
     if (m.empty()) {
@@ -137,7 +137,7 @@ class FuzzTokenGraphStrategy final : public GraphStrategy {
       ctx.terminate(leader_);
       return;
     }
-    ctx.send(ring_succ(id_, n_), GraphMessage{m[0]});
+    ctx.send(ring_succ(id_, n_), {m[0]});
     ctx.terminate(m[0]);
   }
 

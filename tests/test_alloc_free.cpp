@@ -16,6 +16,7 @@
 #include "attacks/basic_single.h"
 #include "attacks/coalition.h"
 #include "attacks/deviation.h"
+#include "attacks/graph_deviation.h"
 #include "protocols/alead_uni.h"
 #include "protocols/basic_lead.h"
 #include "sim/arena.h"
@@ -115,71 +116,63 @@ TEST(ZeroAllocation, RunHonestFastPathIsAllocationFree) {
   EXPECT_EQ(after - before, 0u) << "run_honest steady state allocated";
 }
 
-// Minimal scalar-state graph protocol: a token (empty message, so the
-// payload vector never allocates) walks the ring embedded in the complete
-// graph; every processor terminates with 0 on first receipt.  Exercises the
-// engine substrate — link queues, contexts, scheduler, stats — with a
-// strategy whose own footprint is provably allocation-free.
-class GraphTokenStrategy final : public GraphStrategy {
- public:
-  GraphTokenStrategy(ProcessorId id, int n) : id_(id), n_(n) {}
-
-  void on_init(GraphContext& ctx) override {
-    if (id_ == 0) ctx.send(ring_succ(id_, n_), GraphMessage{});
-  }
-  void on_receive(GraphContext& ctx, ProcessorId /*from*/, const GraphMessage&) override {
-    if (done_) return;
-    done_ = true;
-    if (id_ != 0) ctx.send(ring_succ(id_, n_), GraphMessage{});
-    ctx.terminate(0);
-  }
-
- private:
-  ProcessorId id_;
-  int n_;
-  bool done_ = false;
-};
-
-class GraphTokenProtocol final : public GraphProtocol {
- public:
-  std::unique_ptr<GraphStrategy> make_strategy(ProcessorId id, int n) const override {
-    return std::make_unique<GraphTokenStrategy>(id, n);
-  }
-  GraphStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id,
-                                  int n) const override {
-    return arena.emplace<GraphTokenStrategy>(id, n);
-  }
-  const char* name() const override { return "graph-token"; }
-};
-
-TEST(ZeroAllocation, ReusedGraphTrialSubstrateIsAllocationFree) {
-  const int n = 16;
-  GraphTokenProtocol protocol;
+TEST(ZeroAllocation, RegisteredGraphProfilesAreAllocationFree) {
+  // The registered Shamir-LEAD profiles, not a toy: payloads are copied
+  // into the engine's per-trial slab and delivered as span views, the
+  // strategies' share/ready/reveal state and the attackers' pools live in
+  // arena arrays, and reconstruction is a dot product against the
+  // protocol's precomputed Lagrange table.  Once the slab, link queues and
+  // arena chunks reach their high-water marks a whole trial allocates
+  // nothing.  One engine and one arena serve all three profiles, as a
+  // cached run_scenario workspace would.
+  register_builtin_scenarios();
+  const int n = 8;
+  struct Profile {
+    const char* deviation;
+    CoalitionSpec coalition;
+    Value target;
+  };
+  const Profile profiles[] = {
+      {"", {}, 0},
+      {"shamir-rushing", CoalitionSpec::consecutive(n / 2 + 1, 1), 7},  // k = t
+      {"shamir-forge", CoalitionSpec::consecutive(n / 2, 0), 3},        // k = ceil(n/2)
+  };
   GraphEngine engine(n, 1);
   StrategyArena arena;
   std::vector<GraphStrategy*> profile;
-
-  const auto trial = [&](std::uint64_t seed) {
-    engine.reset(seed, /*schedule_seed=*/seed);
-    arena.rewind();
-    profile.clear();
-    for (ProcessorId p = 0; p < n; ++p) {
-      profile.push_back(protocol.emplace_strategy(arena, p, n));
+  for (const Profile& p : profiles) {
+    ScenarioSpec spec;
+    spec.topology = TopologyKind::kGraph;
+    spec.protocol = "shamir-lead";
+    spec.deviation = p.deviation;
+    spec.coalition = p.coalition;
+    spec.target = p.target;
+    spec.n = n;
+    const std::unique_ptr<GraphProtocol> protocol =
+        ProtocolRegistry::instance().at(spec.protocol).make_graph(spec, spec.seed);
+    std::unique_ptr<GraphDeviation> deviation;
+    if (!spec.deviation.empty()) {
+      deviation = DeviationRegistry::instance().at(spec.deviation).make_graph(*protocol, spec);
     }
-    return engine.run(std::span<GraphStrategy* const>(profile));
-  };
+    const auto trial = [&](std::uint64_t seed) {
+      engine.reset(seed, /*schedule_seed=*/seed);
+      arena.rewind();
+      compose_profile_into(*protocol, deviation.get(), n, arena, profile);
+      return engine.run(std::span<GraphStrategy* const>(profile));
+    };
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) ASSERT_TRUE(trial(seed).valid());
 
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const Outcome o = trial(seed);
-    ASSERT_TRUE(o.valid());
-    ASSERT_EQ(o.leader(), 0u);
+    const std::uint64_t before = allocations();
+    const Outcome outcome = trial(1234);
+    const std::uint64_t after = allocations();
+    EXPECT_EQ(after - before, 0u) << "steady-state graph trial allocated (shamir-lead "
+                                  << p.deviation << ")";
+    ASSERT_TRUE(outcome.valid()) << p.deviation;
+    // Both attacks control the outcome at these coalition sizes.
+    if (deviation) {
+      EXPECT_EQ(outcome.leader(), p.target) << p.deviation;
+    }
   }
-
-  const std::uint64_t before = allocations();
-  const Outcome outcome = trial(1234);
-  const std::uint64_t after = allocations();
-  EXPECT_TRUE(outcome.valid());
-  EXPECT_EQ(after - before, 0u) << "steady-state graph trial allocated";
 }
 
 // Sync counterpart: round 1 everyone broadcasts an empty message, round 2
@@ -383,8 +376,8 @@ TEST(ZeroAllocation, RunScenarioAllocationsDoNotGrowWithTrials) {
   // The scenario layer end to end at threads=1: once the executor thread's
   // workspace is warm, a run allocates only per-run structures (result,
   // slots, the batch body), never per trial — so T=1000 and T=2000 runs
-  // allocate the same count, on the per-trial scalar bodies (ring and
-  // sync) and on the window-staging lane body alike.
+  // allocate the same count, on the per-trial scalar bodies (ring, sync
+  // and graph) and on the window-staging lane body alike.
   ScenarioSpec scalar;
   scalar.protocol = "alead-uni";
   scalar.n = 16;
@@ -399,8 +392,13 @@ TEST(ZeroAllocation, RunScenarioAllocationsDoNotGrowWithTrials) {
   sync.n = 16;
   sync.seed = 5;
   sync.engine = EngineKind::kAuto;
+  ScenarioSpec graph;
+  graph.topology = TopologyKind::kGraph;
+  graph.protocol = "shamir-lead";
+  graph.n = 8;
+  graph.seed = 5;
 
-  for (ScenarioSpec spec : {scalar, lanes, sync}) {
+  for (ScenarioSpec spec : {scalar, lanes, sync, graph}) {
     spec.threads = 1;
     const auto run_counting = [&spec](std::size_t trials) {
       spec.trials = trials;

@@ -21,7 +21,7 @@ class GraphBurst final : public GraphStrategy {
   void on_init(GraphContext& ctx) override {
     for (int i = 0; i < count_; ++i) ctx.send(to_, {static_cast<Value>(i)});
   }
-  void on_receive(GraphContext& ctx, ProcessorId, const GraphMessage&) override {
+  void on_receive(GraphContext& ctx, ProcessorId, GraphPayload) override {
     ctx.terminate(0);
   }
 
@@ -35,7 +35,7 @@ class GraphRecorder final : public GraphStrategy {
  public:
   GraphRecorder(std::vector<std::pair<ProcessorId, Value>>* sink, int expect)
       : sink_(sink), expect_(expect) {}
-  void on_receive(GraphContext& ctx, ProcessorId from, const GraphMessage& m) override {
+  void on_receive(GraphContext& ctx, ProcessorId from, GraphPayload m) override {
     sink_->push_back({from, m.empty() ? ~0ull : m[0]});
     if (static_cast<int>(sink_->size()) >= expect_) {
       for (ProcessorId p = 0; p < ctx.network_size(); ++p) {
@@ -79,7 +79,7 @@ TEST(GraphEngine, AdjacencyRestrictionEnforced) {
   class SendToForbidden final : public GraphStrategy {
    public:
     void on_init(GraphContext& ctx) override { ctx.send(2, {1}); }
-    void on_receive(GraphContext&, ProcessorId, const GraphMessage&) override {}
+    void on_receive(GraphContext&, ProcessorId, GraphPayload) override {}
   };
   std::vector<std::unique_ptr<GraphStrategy>> s;
   s.push_back(std::make_unique<SendToForbidden>());
@@ -93,7 +93,7 @@ TEST(GraphEngine, SelfSendRejected) {
   class SelfSend final : public GraphStrategy {
    public:
     void on_init(GraphContext& ctx) override { ctx.send(ctx.id(), {1}); }
-    void on_receive(GraphContext&, ProcessorId, const GraphMessage&) override {}
+    void on_receive(GraphContext&, ProcessorId, GraphPayload) override {}
   };
   std::vector<std::unique_ptr<GraphStrategy>> s;
   s.push_back(std::make_unique<SelfSend>());
@@ -104,7 +104,7 @@ TEST(GraphEngine, SelfSendRejected) {
 TEST(GraphEngine, QuiescenceWithoutTerminationFails) {
   class Silent final : public GraphStrategy {
    public:
-    void on_receive(GraphContext&, ProcessorId, const GraphMessage&) override {}
+    void on_receive(GraphContext&, ProcessorId, GraphPayload) override {}
   };
   GraphEngine engine(3, 1);
   std::vector<std::unique_ptr<GraphStrategy>> s;
@@ -120,7 +120,7 @@ TEST(GraphEngine, StepLimitStopsPingPong) {
     void on_init(GraphContext& ctx) override {
       if (ctx.id() == 0) ctx.send(1, {0});
     }
-    void on_receive(GraphContext& ctx, ProcessorId from, const GraphMessage& m) override {
+    void on_receive(GraphContext& ctx, ProcessorId from, GraphPayload m) override {
       ctx.send(from, m);
     }
   };
@@ -138,7 +138,7 @@ TEST(GraphEngine, MessagesToTerminatedVanish) {
   class StopImmediately final : public GraphStrategy {
    public:
     void on_init(GraphContext& ctx) override { ctx.terminate(0); }
-    void on_receive(GraphContext&, ProcessorId, const GraphMessage&) override {}
+    void on_receive(GraphContext&, ProcessorId, GraphPayload) override {}
   };
   class Sender final : public GraphStrategy {
    public:
@@ -146,7 +146,7 @@ TEST(GraphEngine, MessagesToTerminatedVanish) {
       ctx.send(1, {7});
       ctx.terminate(0);
     }
-    void on_receive(GraphContext&, ProcessorId, const GraphMessage&) override {}
+    void on_receive(GraphContext&, ProcessorId, GraphPayload) override {}
   };
   GraphEngine engine(2, 1);
   std::vector<std::unique_ptr<GraphStrategy>> s;
@@ -166,6 +166,64 @@ TEST(GraphEngine, CountsSentAndReceived) {
   ASSERT_TRUE(engine.run(std::move(s)).valid());
   EXPECT_EQ(engine.stats().sent[0], 5u);
   EXPECT_EQ(engine.stats().received[1], 5u);
+}
+
+TEST(GraphEngine, ResentPayloadSurvivesSlabGrowth) {
+  // Sends land in the same payload slab deliveries come from.  The relay
+  // re-sends the span it was handed, floods the slab with filler (forcing
+  // it to reallocate several times) and re-sends the span again: both
+  // echoes must carry the original words.  Under ASan a span into the
+  // moved slab would be a use-after-free.
+  constexpr int kWords = 33;
+  constexpr int kFiller = 512;
+  std::vector<Value> original;
+  for (int i = 0; i < kWords; ++i) original.push_back(static_cast<Value>(i) * 0x9e3779b9u + 5);
+
+  class Source final : public GraphStrategy {
+   public:
+    explicit Source(const std::vector<Value>* payload) : payload_(payload) {}
+    void on_init(GraphContext& ctx) override {
+      ctx.send(1, *payload_);
+      ctx.terminate(0);
+    }
+    void on_receive(GraphContext&, ProcessorId, GraphPayload) override {}
+
+   private:
+    const std::vector<Value>* payload_;
+  };
+  class Relay final : public GraphStrategy {
+   public:
+    void on_receive(GraphContext& ctx, ProcessorId, GraphPayload m) override {
+      ctx.send(2, m);
+      const std::vector<Value> filler(16, 7);
+      for (int i = 0; i < kFiller; ++i) ctx.send(2, filler);
+      ctx.send(2, m);
+      ctx.terminate(0);
+    }
+  };
+  class Sink final : public GraphStrategy {
+   public:
+    explicit Sink(std::vector<std::vector<Value>>* echoes) : echoes_(echoes) {}
+    void on_receive(GraphContext& ctx, ProcessorId, GraphPayload m) override {
+      if (m.size() == kWords) echoes_->emplace_back(m.begin(), m.end());
+      if (++received_ == kFiller + 2) ctx.terminate(0);
+    }
+
+   private:
+    std::vector<std::vector<Value>>* echoes_;
+    int received_ = 0;
+  };
+
+  std::vector<std::vector<Value>> echoes;
+  GraphEngine engine(3, 1);
+  std::vector<std::unique_ptr<GraphStrategy>> s;
+  s.push_back(std::make_unique<Source>(&original));
+  s.push_back(std::make_unique<Relay>());
+  s.push_back(std::make_unique<Sink>(&echoes));
+  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  ASSERT_EQ(echoes.size(), 2u);
+  EXPECT_EQ(echoes[0], original);
+  EXPECT_EQ(echoes[1], original);
 }
 
 TEST(GraphEngine, RegisteredGraphShapesMatchPinnedExecutions) {

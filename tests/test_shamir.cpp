@@ -4,14 +4,34 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "attacks/shamir_attacks.h"
 #include "core/field.h"
 #include "core/shamir.h"
 #include "protocols/shamir_lead.h"
+#include "sim/arena.h"
 
 namespace fle {
 namespace {
+
+std::vector<Fp> ys_of(const std::vector<Share>& shares) {
+  std::vector<Fp> ys;
+  for (const Share& s : shares) ys.push_back(s.y);
+  return ys;
+}
+
+/// The generic check the table replaces: the first t shares fix the
+/// polynomial (interpolate_at, one inversion per basis point), every later
+/// share must lie on it, and the secret is its value at 0.
+std::optional<Fp> reference_reconstruct_checked(std::span<const Share> shares, int t) {
+  const auto basis = shares.first(static_cast<std::size_t>(t));
+  for (std::size_t i = static_cast<std::size_t>(t); i < shares.size(); ++i) {
+    if (interpolate_at(basis, shares[i].x) != shares[i].y) return std::nullopt;
+  }
+  return interpolate_at(basis, Fp(0));
+}
 
 TEST(Field, BasicAlgebra) {
   const Fp a(5), b(7);
@@ -68,28 +88,85 @@ TEST(Shamir, FewerThanTSharesAreIndependent) {
   EXPECT_LT(sh1[0].y.value(), Fp::kP);
 }
 
-TEST(Shamir, ConsistencyDetectsTampering) {
-  Xoshiro256 rng(11);
-  const int t = 4, n = 10;
-  auto shares = shamir_share(Fp(99), t, n, rng);
-  EXPECT_TRUE(shamir_consistent(shares, t));
-  EXPECT_TRUE(shamir_reconstruct_checked(shares, t).has_value());
-  shares[7].y = shares[7].y + Fp(1);
-  EXPECT_FALSE(shamir_consistent(shares, t));
-  EXPECT_FALSE(shamir_reconstruct_checked(shares, t).has_value());
+TEST(Shamir, SharePolynomialMatchesShares) {
+  // The allocation-free pair the protocol uses draws the same coefficients
+  // in the same order as shamir_share, so the shares agree word for word.
+  const int t = 5, n = 11;
+  Xoshiro256 a(21), b(21);
+  const auto shares = shamir_share(Fp(77), t, n, a);
+  std::vector<Fp> coeffs(static_cast<std::size_t>(t));
+  shamir_polynomial(Fp(77), coeffs, b);
+  for (int j = 0; j < n; ++j) {
+    EXPECT_EQ(shamir_evaluate(coeffs, shares[static_cast<std::size_t>(j)].x),
+              shares[static_cast<std::size_t>(j)].y)
+        << j;
+  }
+  EXPECT_EQ(a(), b());  // same number of draws
 }
 
-TEST(Shamir, ConsistencyDetectsTamperingInBasis) {
+TEST(LagrangeTable, MatchesInterpolationOnRandomAndTamperedShares) {
+  // Property: for every (t, n) with 2 <= n <= 16 and 1 <= t <= n the table
+  // agrees with generic interpolation, on honest share vectors and on
+  // vectors with one word tampered (anywhere, including the basis).  With
+  // t = n there are no check rows, so tampering only moves the secret.
+  Xoshiro256 rng(2024);
+  for (int n = 2; n <= 16; ++n) {
+    for (int t = 1; t <= n; ++t) {
+      const LagrangeTable table(t, n);
+      ASSERT_EQ(table.t(), t);
+      ASSERT_EQ(table.n(), n);
+      for (int rep = 0; rep < 8; ++rep) {
+        auto shares = shamir_share(Fp::random(rng), t, n, rng);
+        if (rep % 2 == 1) {
+          const auto j = static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(n)));
+          shares[j].y = shares[j].y + Fp(1 + rng.below(Fp::kP - 1));
+        }
+        const std::vector<Fp> ys = ys_of(shares);
+        const std::optional<Fp> expected = reference_reconstruct_checked(shares, t);
+        const std::optional<Fp> got = table.reconstruct_checked(ys);
+        ASSERT_EQ(got.has_value(), expected.has_value()) << "n=" << n << " t=" << t;
+        if (expected) {
+          EXPECT_EQ(*got, *expected) << "n=" << n << " t=" << t;
+        } else {
+          EXPECT_EQ(rep % 2, 1) << "honest shares rejected, n=" << n << " t=" << t;
+        }
+        EXPECT_EQ(table.reconstruct(ys),
+                  shamir_reconstruct(std::span<const Share>(shares).first(
+                      static_cast<std::size_t>(t))))
+            << "n=" << n << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST(LagrangeTable, RejectsBadThreshold) {
+  EXPECT_THROW(LagrangeTable(0, 4), std::invalid_argument);
+  EXPECT_THROW(LagrangeTable(5, 4), std::invalid_argument);
+}
+
+TEST(LagrangeTable, ConsistencyDetectsTampering) {
+  Xoshiro256 rng(11);
+  const int t = 4, n = 10;
+  const LagrangeTable table(t, n);
+  auto shares = shamir_share(Fp(99), t, n, rng);
+  EXPECT_TRUE(table.reconstruct_checked(ys_of(shares)).has_value());
+  EXPECT_EQ(table.reconstruct_checked(ys_of(shares))->value(), 99u);
+  shares[7].y = shares[7].y + Fp(1);
+  EXPECT_FALSE(table.reconstruct_checked(ys_of(shares)).has_value());
+}
+
+TEST(LagrangeTable, ConsistencyDetectsTamperingInBasis) {
   // Corrupting one of the first t points must also be caught (the basis
   // polynomial then disagrees with the honest tail).
   Xoshiro256 rng(13);
   const int t = 3, n = 8;
+  const LagrangeTable table(t, n);
   auto shares = shamir_share(Fp(5), t, n, rng);
   shares[1].y = shares[1].y + Fp(123);
-  EXPECT_FALSE(shamir_consistent(shares, t));
+  EXPECT_FALSE(table.reconstruct_checked(ys_of(shares)).has_value());
 }
 
-TEST(Shamir, PencilShiftIsUndetectableWhenHonestBelowT)  {
+TEST(LagrangeTable, PencilShiftIsUndetectableWhenHonestBelowT) {
   // The forging attack's algebra: with h < t honest points, adding c*Z
   // (Z vanishing on them) keeps all points consistent but shifts P(0).
   Xoshiro256 rng(17);
@@ -105,7 +182,7 @@ TEST(Shamir, PencilShiftIsUndetectableWhenHonestBelowT)  {
     shares[static_cast<std::size_t>(j)].y =
         shares[static_cast<std::size_t>(j)].y + c * z_at(shares[static_cast<std::size_t>(j)].x);
   }
-  EXPECT_TRUE(shamir_consistent(shares, t));  // undetectable
+  EXPECT_TRUE(LagrangeTable(t, n).reconstruct_checked(ys_of(shares)).has_value());  // undetectable
   EXPECT_EQ(shamir_reconstruct(std::span<const Share>(shares).first(4)).value(),
             (Fp(10) + c * z_at(Fp(0))).value());  // shifted
 }
@@ -171,10 +248,10 @@ TEST(ShamirLead, LyingRevealerCausesAbort) {
 
    protected:
     void send_reveal(GraphContext& ctx) override {
-      std::vector<Fp> values;
-      for (const auto& h : held_) values.push_back(*h);
+      const std::span<Fp> values = own_reveal();
+      for (std::size_t o = 0; o < values.size(); ++o) values[o] = *held_[o];
       values[2] = values[2] + Fp(1);  // lie about processor 2's share
-      broadcast_reveal(ctx, std::move(values));
+      broadcast_reveal(ctx);
     }
     void finalize(GraphContext& ctx) override {
       if (dead_) return;
@@ -183,15 +260,91 @@ TEST(ShamirLead, LyingRevealerCausesAbort) {
     }
   };
   GraphEngine engine(n, 5);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
+  StrategyArena arena;
+  std::vector<GraphStrategy*> profile;
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == 4) {
-      s.push_back(std::make_unique<LyingStrategy>(p, protocol.params()));
+      profile.push_back(arena.emplace<LyingStrategy>(p, protocol.lagrange(), arena));
     } else {
-      s.push_back(protocol.make_strategy(p, n));
+      profile.push_back(protocol.emplace_strategy(arena, p, n));
     }
   }
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  EXPECT_TRUE(engine.run(std::span<GraphStrategy* const>(profile)).failed());
+}
+
+/// Forwards to the engine's context, adding `shift` to one field word of
+/// every outgoing message with tag `tag` (word 1: the share, or the reveal
+/// of owner 0).  A shift of Fp::kP names the same field element with a
+/// non-canonical word.
+class ShiftingContext final : public GraphContext {
+ public:
+  ShiftingContext(GraphContext& inner, ShamirTag tag, Value shift)
+      : inner_(&inner), tag_(tag), shift_(shift) {}
+
+  void send(ProcessorId to, GraphPayload payload) override {
+    if (payload.size() < 2 || payload[0] != static_cast<Value>(tag_)) {
+      inner_->send(to, payload);
+      return;
+    }
+    words_.assign(payload.begin(), payload.end());
+    words_[1] += shift_;
+    inner_->send(to, words_);
+  }
+  void terminate(Value output) override { inner_->terminate(output); }
+  void abort() override { inner_->abort(); }
+  ProcessorId id() const override { return inner_->id(); }
+  int network_size() const override { return inner_->network_size(); }
+  RandomTape& tape() override { return inner_->tape(); }
+
+ private:
+  GraphContext* inner_;
+  ShamirTag tag_;
+  Value shift_;
+  std::vector<Value> words_;
+};
+
+/// An otherwise honest processor whose outgoing messages pass through a
+/// ShiftingContext.
+class ShiftingStrategy final : public GraphStrategy {
+ public:
+  ShiftingStrategy(std::unique_ptr<GraphStrategy> honest, ShamirTag tag, Value shift)
+      : honest_(std::move(honest)), tag_(tag), shift_(shift) {}
+
+  void on_init(GraphContext& ctx) override {
+    ShiftingContext shifted(ctx, tag_, shift_);
+    honest_->on_init(shifted);
+  }
+  void on_receive(GraphContext& ctx, ProcessorId from, GraphPayload m) override {
+    ShiftingContext shifted(ctx, tag_, shift_);
+    honest_->on_receive(shifted, from, m);
+  }
+
+ private:
+  std::unique_ptr<GraphStrategy> honest_;
+  ShamirTag tag_;
+  Value shift_;
+};
+
+TEST(ShamirLead, NonCanonicalFieldWordsAbort) {
+  // y + kP reduces to the same field element, so a receiver that reduced
+  // it would accept the election; the protocol never sends such a word,
+  // so receivers must treat it as a deviation.  A zero shift is the
+  // control: the wrapper itself changes nothing.
+  const int n = 6;
+  ShamirLeadProtocol protocol(n);
+  for (const ShamirTag tag : {ShamirTag::kShare, ShamirTag::kReveal}) {
+    for (const Value shift : {Value{0}, Fp::kP}) {
+      GraphEngine engine(n, 41);
+      std::vector<std::unique_ptr<GraphStrategy>> s;
+      for (ProcessorId p = 0; p < n; ++p) {
+        auto honest = protocol.make_strategy(p, n);
+        s.push_back(p == 2 ? std::make_unique<ShiftingStrategy>(std::move(honest), tag, shift)
+                           : std::move(honest));
+      }
+      const Outcome o = engine.run(std::move(s));
+      EXPECT_EQ(o.failed(), shift != 0) << "tag " << static_cast<Value>(tag);
+    }
+  }
 }
 
 // --- attacks ----------------------------------------------------------------
