@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "api/scenario.h"
 #include "fullinfo/baton.h"
 #include "fullinfo/majority.h"
 #include "fullinfo/turn_game.h"
+#include "sim/transcript.h"
+#include "verify/fuzzer.h"
 
 namespace fle {
 namespace {
@@ -154,6 +159,64 @@ TEST(TurnGame, AdversaryActionsAreClamped) {
   for (int i = 0; i < 50; ++i) {
     const Value leader = play_turn_game(g, coalition, &adv, rng);
     EXPECT_LT(leader, 5u);
+  }
+}
+
+TEST(TurnGame, RegisteredShapesMatchPinnedExecutions) {
+  // Whole registered turn-game scenarios, pinned: the network-sync rows
+  // (alternating XOR with the last mover, honest and greedy baton at
+  // n = 64, the majority coin with a voting coalition), the Corollary F.4
+  // leaf-edge game, and the E14 baton row with k = 32.  The outcome counts
+  // and a fold of every trial's transcript digest (every mover and action)
+  // must not move when the turn-game runtime changes.
+  struct Pinned {
+    const char* line;
+    std::vector<std::size_t> counts;
+    std::uint64_t digest_fold;
+  };
+  const Pinned pinned[] = {
+      {"topology=tree protocol=alternating-xor deviation=xor-last-mover rounds=7 target=1 n=2 "
+       "trials=2000 seed=201",
+       {0, 2000}, 0x485acd0cbfff1403ull},
+      {"topology=tree protocol=xor-leaf-edge n=2 trials=2000 seed=202", {993, 1007},
+       0x887c4ecf21318ecaull},
+      {"topology=fullinfo protocol=baton target=63 n=64 trials=2000 seed=203",
+       {0, 25, 30, 38, 45, 41, 21, 33, 32, 32, 32, 21, 34, 23, 30, 37, 39, 34, 42, 27, 28,
+        25, 27, 39, 33, 31, 27, 25, 30, 27, 32, 40, 29, 33, 35, 33, 34, 32, 35, 30, 38, 31,
+        33, 28, 30, 32, 31, 29, 29, 26, 30, 30, 29, 24, 36, 31, 39, 36, 35, 37, 29, 32, 40,
+        24},
+       0xa0cf1b7868ba07dcull},
+      {"topology=fullinfo protocol=baton deviation=baton-greedy placement=custom "
+       "members=1,2,3,4,5,6,7,8 target=63 n=64 trials=2000 seed=204",
+       {0, 51, 47, 73, 51, 52, 54, 48, 58, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 6, 6, 8, 7, 10,
+        16, 14, 19, 18, 25, 23, 23, 22, 16, 41, 29, 29, 34, 26, 23, 43, 41, 43, 42, 39, 47,
+        39, 40, 46, 57, 46, 53, 47, 54, 49, 43, 60, 51, 61, 49, 54, 41, 52, 72},
+       0x9b713a564241e555ull},
+      {"topology=fullinfo protocol=baton deviation=baton-greedy placement=custom "
+       "members=1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,"
+       "29,30,31,32 target=63 n=64 trials=4000 seed=2056",
+       {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 3, 2, 12, 9, 18, 35,
+        58, 117, 132, 218, 375, 577, 935, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1507},
+       0x4653ec2a415c9558ull},
+      {"topology=fullinfo protocol=majority-coin deviation=majority-target placement=custom "
+       "members=0,1,2,3 target=1 n=49 trials=5000 seed=205",
+       {1349, 3651, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+       0x35a8ec8f351aad57ull},
+  };
+  for (const Pinned& p : pinned) {
+    ScenarioSpec spec = verify::parse_spec(p.line);
+    spec.record_transcripts = true;
+    spec.threads = 2;
+    const ScenarioResult r = run_scenario(spec);
+    EXPECT_EQ(r.outcomes.fails(), 0u) << p.line;
+    std::vector<std::size_t> counts;
+    for (int v = 0; v < r.outcomes.domain(); ++v) counts.push_back(r.outcomes.count(v));
+    std::vector<std::uint64_t> digests;
+    for (const ExecutionTranscript& t : r.per_trial_transcript) digests.push_back(t.digest());
+    EXPECT_EQ(counts, p.counts) << p.line;
+    EXPECT_EQ(transcript_fold(digests), p.digest_fold) << p.line;
   }
 }
 

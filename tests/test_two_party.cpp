@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "sim/transcript.h"
 #include "trees/tree_protocols.h"
 #include "trees/two_party.h"
 
@@ -86,6 +87,32 @@ TEST(GameTree, ExtractedStrategyForcesOutcome) {
     }
   }
   EXPECT_GT(verified, 50);
+}
+
+TEST(GameTree, AssuringStrategiesMatchPinnedFold) {
+  // Every extracted strategy — each pre-order slot, -1 where the coalition
+  // never moves — on random 2..4-player trees, for every coalition mask and
+  // both bits, folded into one pinned word.
+  std::vector<std::uint64_t> words;
+  std::size_t assuring = 0;
+  for (int players = 2; players <= 4; ++players) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      const auto g = GameTree::random(players, 6, 3, seed);
+      for (std::uint32_t mask = 0; mask < (1u << players); ++mask) {
+        for (int bit = 0; bit <= 1; ++bit) {
+          const std::vector<int> strategy = g.assuring_strategy(mask, bit);
+          assuring += strategy.empty() ? 0 : 1;
+          words.push_back(strategy.size());
+          for (const int choice : strategy) {
+            words.push_back(static_cast<std::uint64_t>(choice + 1));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(assuring, 1120u);
+  EXPECT_EQ(words.size(), 309568u);
+  EXPECT_EQ(transcript_fold(words), 0x8afb043068d03731ull);
 }
 
 TEST(GameTree, DeterminacyForCoalitions) {
