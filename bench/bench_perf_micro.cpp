@@ -19,12 +19,14 @@
 #include <span>
 #include <vector>
 
+#include "api/registry.h"
 #include "api/scenario.h"
 #include "api/sweep.h"
 #include "attacks/coalition.h"
 #include "core/ctr_rng.h"
 #include "core/random_function.h"
 #include "core/rng.h"
+#include "fullinfo/turn_game.h"
 #include "protocols/alead_uni.h"
 #include "protocols/basic_lead.h"
 #include "protocols/phase_async_lead.h"
@@ -35,6 +37,7 @@
 #include "sim/graph_engine.h"
 #include "sim/lane_engine.h"
 #include "sim/sync_engine.h"
+#include "verify/fuzzer.h"
 
 namespace {
 
@@ -258,6 +261,42 @@ void BM_SyncTrialReused(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SyncTrialReused)->Arg(16)->Arg(64);
+
+// ---- turn games (fullinfo/turn_game.h): one execution on a reused position
+//
+// The registered game, coalition and adversary are built once, as a
+// run_scenario job builds them; each iteration plays one seeded execution
+// on the same position, as a cached turn-game workspace does.  The rows
+// are the network-sync workload's full-information shapes.
+
+void BM_TurnGameTrial(benchmark::State& state, const char* line) {
+  register_builtin_scenarios();
+  const ScenarioSpec spec = verify::parse_spec(line);
+  const std::shared_ptr<const TurnGame> game =
+      ProtocolRegistry::instance().at(spec.protocol).make_game(spec);
+  std::vector<ProcessorId> coalition;
+  std::unique_ptr<TurnAdversary> adversary;
+  if (!spec.deviation.empty()) {
+    const DeviationEntry& entry = DeviationRegistry::instance().at(spec.deviation);
+    coalition = entry.turn_coalition(*game, spec);
+    adversary = entry.make_turn(*game, spec);
+  }
+  const std::unique_ptr<TurnPosition> position = game->new_position();
+  std::uint64_t seed = 0;
+  AllocationScope allocations(state);
+  for (auto _ : state) {
+    Xoshiro256 rng(++seed);
+    benchmark::DoNotOptimize(play_turn_game(*position, coalition, adversary.get(), rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_TurnGameTrial, baton_64, "topology=fullinfo protocol=baton target=63 n=64");
+BENCHMARK_CAPTURE(BM_TurnGameTrial, baton_greedy_64,
+                  "topology=fullinfo protocol=baton deviation=baton-greedy placement=custom "
+                  "members=1,2,3,4,5,6,7,8 target=63 n=64");
+BENCHMARK_CAPTURE(BM_TurnGameTrial, majority_49,
+                  "topology=fullinfo protocol=majority-coin deviation=majority-target "
+                  "placement=custom members=0,1,2,3 target=1 n=49");
 
 // ---- batched lane engine (DESIGN.md §10): window throughput --------------
 

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -95,29 +96,39 @@ const T& require_protocol(const char* deviation, const char* needed, const P& pr
 
 /// Adapts an extensive-form GameTree (src/trees/) to the TurnGame interface
 /// so tree protocols run through the same turn-game scenario path as the
-/// full-information games: the transcript is the path from the root.
+/// full-information games: a move picks a child, and the position keeps
+/// the node it has reached.
 class GameTreeTurnGame final : public TurnGame {
  public:
   explicit GameTreeTurnGame(GameTree tree) : tree_(std::move(tree)) {}
 
   int players() const override { return tree_.players(); }
-  bool finished(const Transcript& t) const override { return node(t).is_leaf(); }
-  ProcessorId mover(const Transcript& t) const override { return node(t).owner; }
-  Value action_count(const Transcript& t) const override {
-    return static_cast<Value>(node(t).children.size());
-  }
-  Value outcome(const Transcript& t) const override {
-    return static_cast<Value>(*node(t).outcome);
+  std::unique_ptr<TurnPosition> new_position() const override {
+    return std::make_unique<Position>(tree_);
   }
 
  private:
-  const GameNode& node(const Transcript& t) const {
-    const GameNode* current = &tree_.root();
-    for (const Value action : t) {
-      current = current->children[static_cast<std::size_t>(action)].get();
+  class Position final : public TurnPosition {
+   public:
+    explicit Position(const GameTree& tree)
+        : TurnPosition(tree.players(), static_cast<std::size_t>(tree.depth())),
+          root_(&tree.root()),
+          node_(root_) {}
+
+    bool finished() const override { return node_->is_leaf(); }
+    ProcessorId mover() const override { return node_->owner; }
+    Value action_count() const override { return static_cast<Value>(node_->children.size()); }
+    Value outcome() const override { return static_cast<Value>(*node_->outcome); }
+
+   private:
+    void restart() override { node_ = root_; }
+    void advance(Value action) override {
+      node_ = node_->children[static_cast<std::size_t>(action)].get();
     }
-    return *current;
-  }
+
+    const GameNode* root_;
+    const GameNode* node_;
+  };
 
   GameTree tree_;
 };
@@ -130,10 +141,11 @@ class XorLastMoverAdversary final : public TurnAdversary {
   XorLastMoverAdversary(Value target_bit, int rounds)
       : target_(target_bit & 1), rounds_(rounds) {}
 
-  Value choose(const TurnGame& /*game*/, const Transcript& t, ProcessorId /*mover*/) override {
-    if (static_cast<int>(t.size()) != rounds_ - 1) return 0;
+  Value choose(const TurnPosition& position, ProcessorId /*mover*/) const override {
+    const std::span<const Value> history = position.history();
+    if (static_cast<int>(history.size()) != rounds_ - 1) return 0;
     Value parity = 0;
-    for (const Value bit : t) parity ^= bit & 1;
+    for (const Value bit : history) parity ^= bit & 1;
     return parity ^ target_;
   }
 
@@ -432,8 +444,8 @@ void register_deviations(std::vector<DeviationEntry>& out) {
     DeviationEntry entry;
     entry.name = "baton-greedy";
     entry.summary = "Greedy baton coalition burning honest non-targets (Saks)";
-    // The adversary downcasts the game to BatonGame to replay transcripts;
-    // gate the pairing here (found by the conformance fuzzer: an unchecked
+    // The adversary downcasts the position to BatonPosition to read the
+    // unvisited set; gate the pairing here (found by the conformance fuzzer: an unchecked
     // cast let this adversary read garbage state from the XOR games).
     entry.turn_coalition = [](const TurnGame& game, const ScenarioSpec& spec) {
       require_protocol<BatonGame>("baton-greedy", "baton", game);

@@ -59,7 +59,8 @@ struct DeviationEntry {
       make_graph;
   std::function<std::unique_ptr<SyncDeviation>(const SyncProtocol&, const ScenarioSpec&)>
       make_sync;
-  /// Turn games: the adversary plus the coalition it plays for.
+  /// Turn games: the adversary plus the coalition it plays for, each built
+  /// once per scenario and shared by every worker.
   std::function<std::unique_ptr<TurnAdversary>(const TurnGame&, const ScenarioSpec&)>
       make_turn;
   std::function<std::vector<ProcessorId>(const TurnGame&, const ScenarioSpec&)>

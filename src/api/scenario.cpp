@@ -342,6 +342,7 @@ constexpr int kRingFamily = 1;
 constexpr int kGraphFamily = 2;
 constexpr int kSyncFamily = 3;
 constexpr int kLaneFamily = 4;  ///< batched ring lane engine (sim/lane_engine.h)
+constexpr int kTurnFamily = 5;  ///< turn-game positions (fullinfo/turn_game.h)
 constexpr int kGraphFamilyBase = 16;  ///< + GraphAdjacency index for restricted graphs
 
 int graph_family(GraphAdjacency adjacency) {
@@ -425,6 +426,16 @@ struct EngineWorkspace {
 using RingWorkspace = EngineWorkspace<RingEngine, RingStrategy>;
 using GraphWorkspace = EngineWorkspace<GraphEngine, GraphStrategy>;
 using SyncWorkspace = EngineWorkspace<SyncEngine, SyncStrategy>;
+
+/// Per-worker turn-game workspace: one position, reset by every trial.  A
+/// position reads its game's data, so the workspace pins the game it was
+/// built from; a cached workspace handed a job with another game object
+/// rebuilds the position (identity decides, and the pin keeps a freed
+/// game's address from being reused while the workspace holds it).
+struct TurnWorkspace {
+  std::shared_ptr<const TurnGame> game;
+  std::unique_ptr<TurnPosition> position;
+};
 
 template <typename Workspace>
 WorkspaceFactory workspace_factory() {
@@ -774,9 +785,15 @@ void fill_turn_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     throw std::invalid_argument("deviation '" + deviation_entry->name +
                                 "' does not apply to turn games");
   }
+  // The game, its coalition and its adversary are built once per job and
+  // shared read-only by every worker (TurnAdversary::choose is const).
   const std::shared_ptr<const TurnGame> game = protocol_entry->make_game(spec);
   std::vector<ProcessorId> coalition;
-  if (deviation_entry) coalition = deviation_entry->turn_coalition(*game, spec);
+  std::shared_ptr<const TurnAdversary> adversary;
+  if (deviation_entry) {
+    coalition = deviation_entry->turn_coalition(*game, spec);
+    adversary = deviation_entry->make_turn(*game, spec);
+  }
 
   // Turn-game outcomes live in [0, players) for elections and {0, 1} for
   // coin games; size the counter to cover both.
@@ -787,16 +804,21 @@ void fill_turn_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
 
   ScenarioJob* j = &job;
   job.batch.body = per_trial_body(
-      job, [j, deviation_entry, game, coalition = std::move(coalition)](
-               std::size_t t, std::uint64_t seed, void* /*workspace*/) {
+      job, [j, game, adversary, coalition = std::move(coalition)](
+               std::size_t t, std::uint64_t seed, void* raw) {
+        auto& ws = *static_cast<TurnWorkspace*>(raw);
+        if (ws.game != game) {
+          ws.position = game->new_position();
+          ws.game = game;
+        }
         Xoshiro256 rng(seed);
-        std::unique_ptr<TurnAdversary> adversary;
-        if (deviation_entry) adversary = deviation_entry->make_turn(*game, j->spec);
         TrialStats stats;
-        stats.outcome = Outcome::elected(
-            play_turn_game(*game, coalition, adversary.get(), rng, j->transcript_slot(t)));
+        stats.outcome = Outcome::elected(play_turn_game(*ws.position, coalition, adversary.get(),
+                                                        rng, j->transcript_slot(t)));
         return stats;
       });
+  job.batch.workspace = WorkspaceKey{kTurnFamily, spec.n};
+  job.batch.make_workspace = workspace_factory<TurnWorkspace>();
 }
 
 /// Transcript capture needs a deterministic runtime; the threaded runtime's

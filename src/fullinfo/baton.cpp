@@ -10,36 +10,32 @@ BatonGame::BatonGame(int n) : n_(n) {
   if (n < 2) throw std::invalid_argument("need at least 2 players");
 }
 
-BatonGame::State BatonGame::replay(const Transcript& t) const {
-  State s;
-  s.holder = 0;
-  s.unvisited.reserve(static_cast<std::size_t>(n_ - 1));
-  for (ProcessorId p = 1; p < n_; ++p) s.unvisited.push_back(p);
-  for (const Value action : t) {
-    assert(action < s.unvisited.size());
-    const auto it = s.unvisited.begin() + static_cast<std::ptrdiff_t>(action);
-    s.holder = *it;
-    s.unvisited.erase(it);
-  }
-  return s;
+std::unique_ptr<TurnPosition> BatonGame::new_position() const {
+  return std::make_unique<BatonPosition>(n_);
 }
 
-ProcessorId BatonGame::mover(const Transcript& t) const { return replay(t).holder; }
-
-Value BatonGame::action_count(const Transcript& t) const {
-  return static_cast<Value>(n_ - 1 - static_cast<int>(t.size()));
+BatonPosition::BatonPosition(int n)
+    : TurnPosition(n, static_cast<std::size_t>(n - 1)) {
+  unvisited_.reserve(static_cast<std::size_t>(n - 1));
+  restart();
 }
 
-Value BatonGame::outcome(const Transcript& t) const {
-  assert(finished(t));
-  return static_cast<Value>(replay(t).holder);
+void BatonPosition::restart() {
+  holder_ = 0;
+  unvisited_.clear();
+  for (ProcessorId p = 1; p < players(); ++p) unvisited_.push_back(p);
 }
 
-Value BatonGreedyAdversary::choose(const TurnGame& game, const Transcript& t,
-                                   ProcessorId /*mover*/) {
-  const auto& baton = static_cast<const BatonGame&>(game);
-  const auto state = baton.replay(t);
-  const auto& u = state.unvisited;
+void BatonPosition::advance(Value action) {
+  assert(action < unvisited_.size());
+  const auto it = unvisited_.begin() + static_cast<std::ptrdiff_t>(action);
+  holder_ = *it;
+  unvisited_.erase(it);
+}
+
+Value BatonGreedyAdversary::choose(const TurnPosition& position,
+                                   ProcessorId /*mover*/) const {
+  const auto u = static_cast<const BatonPosition&>(position).unvisited();
   auto is_member = [&](ProcessorId p) {
     return std::binary_search(coalition_.begin(), coalition_.end(), p);
   };

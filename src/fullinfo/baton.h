@@ -14,42 +14,54 @@
 
 namespace fle {
 
-/// The game: transcript entry i = index of the chosen recipient within the
-/// sorted not-yet-held set at step i.
+/// The game: move i = index of the chosen recipient within the sorted
+/// not-yet-held set at step i.
 class BatonGame final : public TurnGame {
  public:
   explicit BatonGame(int n);
 
   int players() const override { return n_; }
-  bool finished(const Transcript& t) const override {
-    return static_cast<int>(t.size()) == n_ - 1;
-  }
-  ProcessorId mover(const Transcript& t) const override;
-  Value action_count(const Transcript& t) const override;
-  Value outcome(const Transcript& t) const override;
-
-  /// Replays a transcript: (current holder, sorted unvisited players).
-  struct State {
-    ProcessorId holder = 0;
-    std::vector<ProcessorId> unvisited;
-  };
-  [[nodiscard]] State replay(const Transcript& t) const;
+  std::unique_ptr<TurnPosition> new_position() const override;
 
  private:
   int n_;
+};
+
+/// A baton execution in progress: the holder (the mover, and the outcome
+/// once everyone has held the baton) and the unvisited set (n-1 reserved
+/// slots, so no move allocates).
+class BatonPosition final : public TurnPosition {
+ public:
+  explicit BatonPosition(int n);
+
+  bool finished() const override { return unvisited_.empty(); }
+  ProcessorId mover() const override { return holder_; }
+  Value action_count() const override { return static_cast<Value>(unvisited_.size()); }
+  Value outcome() const override { return static_cast<Value>(holder_); }
+
+  /// The sorted players who have not yet held the baton.
+  [[nodiscard]] std::span<const ProcessorId> unvisited() const { return unvisited_; }
+
+ private:
+  void restart() override;
+  void advance(Value action) override;
+
+  ProcessorId holder_ = 0;
+  std::vector<ProcessorId> unvisited_;
 };
 
 /// Greedy coalition: when a member holds the baton it (1) passes to an
 /// unvisited honest non-target — burning competitors while the target's
 /// survival chances stay intact, (2) else to another coalition member to
 /// keep control, (3) else is forced to the target (which then wins unless
-/// an honest pick beats it).  Targets the election of `target`.
+/// an honest pick beats it).  Targets the election of `target`.  Plays
+/// BatonGame positions only (the registry gates the pairing).
 class BatonGreedyAdversary final : public TurnAdversary {
  public:
   BatonGreedyAdversary(std::vector<ProcessorId> coalition, ProcessorId target)
       : coalition_(std::move(coalition)), target_(target) {}
 
-  Value choose(const TurnGame& game, const Transcript& t, ProcessorId mover) override;
+  Value choose(const TurnPosition& position, ProcessorId mover) const override;
 
  private:
   std::vector<ProcessorId> coalition_;

@@ -1,21 +1,40 @@
 #include "fullinfo/majority.h"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
 namespace fle {
 
+namespace {
+
+/// A majority-coin execution in progress: player i moves at turn i, and the
+/// running count of ones decides the outcome.
+class MajorityCoinPosition final : public TurnPosition {
+ public:
+  explicit MajorityCoinPosition(int n) : TurnPosition(n, static_cast<std::size_t>(n)) {}
+
+  bool finished() const override { return static_cast<int>(history().size()) == players(); }
+  ProcessorId mover() const override { return static_cast<ProcessorId>(history().size()); }
+  Value action_count() const override { return 2; }
+  /// Majority bit; ties -> 0.
+  Value outcome() const override { return ones_ * 2 > players() ? 1 : 0; }
+
+ private:
+  void restart() override { ones_ = 0; }
+  void advance(Value action) override { ones_ += static_cast<int>(action & 1); }
+
+  int ones_ = 0;
+};
+
+}  // namespace
+
 MajorityCoinGame::MajorityCoinGame(int n) : n_(n) {
   if (n < 1) throw std::invalid_argument("need at least one player");
 }
 
-Value MajorityCoinGame::outcome(const Transcript& t) const {
-  assert(finished(t));
-  int ones = 0;
-  for (const Value b : t) ones += (b & 1) ? 1 : 0;
-  return ones * 2 > n_ ? 1 : 0;
+std::unique_ptr<TurnPosition> MajorityCoinGame::new_position() const {
+  return std::make_unique<MajorityCoinPosition>(n_);
 }
 
 double majority_bias_estimate(int n, int k) {

@@ -19,15 +19,7 @@ class MajorityCoinGame final : public TurnGame {
   explicit MajorityCoinGame(int n);
 
   int players() const override { return n_; }
-  bool finished(const Transcript& t) const override {
-    return static_cast<int>(t.size()) == n_;
-  }
-  ProcessorId mover(const Transcript& t) const override {
-    return static_cast<ProcessorId>(t.size());
-  }
-  Value action_count(const Transcript& /*t*/) const override { return 2; }
-  /// Majority bit; ties -> 0.
-  Value outcome(const Transcript& t) const override;
+  std::unique_ptr<TurnPosition> new_position() const override;
 
  private:
   int n_;
@@ -37,7 +29,7 @@ class MajorityCoinGame final : public TurnGame {
 class MajorityTargetAdversary final : public TurnAdversary {
  public:
   explicit MajorityTargetAdversary(Value target_bit) : bit_(target_bit & 1) {}
-  Value choose(const TurnGame&, const Transcript&, ProcessorId) override { return bit_; }
+  Value choose(const TurnPosition&, ProcessorId) const override { return bit_; }
 
  private:
   Value bit_;

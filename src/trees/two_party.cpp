@@ -39,20 +39,15 @@ bool extract_rec(const GameNode& node, std::uint32_t mask, int bit, std::size_t&
   if (node.is_leaf()) return *node.outcome == bit;
   const bool ours = (mask >> static_cast<unsigned>(node.owner)) & 1u;
   if (ours) {
-    // Find a child that assures; descend into it for real, but still walk
-    // the others to keep pre-order ids aligned.
+    // Find a child that assures and descend into it; skip the others'
+    // subtrees wholesale to keep pre-order ids aligned.
     int chosen = -1;
     for (std::size_t i = 0; i < node.children.size(); ++i) {
-      const std::size_t saved = next_id;
-      std::vector<int> scratch(strategy);
-      std::size_t scratch_id = saved;
       if (chosen < 0 && assures_rec(*node.children[i], mask, bit)) {
         chosen = static_cast<int>(i);
         extract_rec(*node.children[i], mask, bit, next_id, strategy);
       } else {
-        // Walk without recording to advance ids consistently.
-        extract_rec(*node.children[i], mask, bit, scratch_id, scratch);
-        next_id = scratch_id;
+        next_id += count_nodes(*node.children[i]);
       }
     }
     if (chosen < 0) return false;

@@ -192,11 +192,11 @@ std::string redrive_ring_trial(const ScenarioSpec& spec, std::size_t trial,
 }
 
 /// Re-drives one recorded turn-game trial from its recorded actions.
-std::string redrive_turn_trial(const TurnGame& game, std::size_t trial,
+std::string redrive_turn_trial(TurnPosition& position, std::size_t trial,
                                const ExecutionTranscript& reference,
                                const Outcome& recorded_outcome) {
   try {
-    const Value outcome = replay_turn_game(game, reference.events());
+    const Value outcome = replay_turn_game(position, reference.events());
     if (!recorded_outcome.valid() || outcome != recorded_outcome.leader()) {
       return "trial " + std::to_string(trial) +
              ": replayed outcome disagrees with the recorded per-trial outcome";
@@ -273,8 +273,9 @@ CheckResult check_transcript_replay(ScenarioSpec spec, std::size_t redriven_tria
     case TopologyKind::kFullInfo: {
       const ProtocolEntry& entry = ProtocolRegistry::instance().at(spec.protocol);
       const std::shared_ptr<const TurnGame> game = entry.make_game(spec);
+      const std::unique_ptr<TurnPosition> position = game->new_position();
       for (std::size_t t = 0; t < redriven && redrive_failure.empty(); ++t) {
-        redrive_failure = redrive_turn_trial(*game, first.trial_offset + t,
+        redrive_failure = redrive_turn_trial(*position, first.trial_offset + t,
                                              first.per_trial_transcript[t],
                                              first.per_trial[t]);
         ++redriven_executed;

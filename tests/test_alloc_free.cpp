@@ -8,7 +8,9 @@
 
 #include "core/counting_new.inc"
 
+#include <algorithm>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "api/registry.h"
@@ -17,6 +19,7 @@
 #include "attacks/coalition.h"
 #include "attacks/deviation.h"
 #include "attacks/graph_deviation.h"
+#include "fullinfo/turn_game.h"
 #include "protocols/alead_uni.h"
 #include "protocols/basic_lead.h"
 #include "sim/arena.h"
@@ -358,6 +361,66 @@ TEST(ZeroAllocation, RegisteredSyncProfilesAreAllocationFree) {
   }
 }
 
+TEST(ZeroAllocation, RegisteredTurnGameProfilesAreAllocationFree) {
+  // Every registered turn game, honest and under every registered turn
+  // deviation whose factories accept it, on one position per game and one
+  // adversary per profile, as a cached run_scenario workspace runs them.
+  // Positions keep incremental state in storage reserved at construction
+  // (the history, the baton's unvisited set), so once built a whole
+  // execution allocates nothing.
+  register_builtin_scenarios();
+  std::vector<std::string> turn_deviations{""};
+  for (const std::string& name : DeviationRegistry::instance().names()) {
+    if (DeviationRegistry::instance().at(name).make_turn) turn_deviations.push_back(name);
+  }
+  std::vector<std::string> profiles;
+  for (const std::string& protocol : ProtocolRegistry::instance().names()) {
+    const ProtocolEntry& entry = ProtocolRegistry::instance().at(protocol);
+    if (!entry.make_game) continue;
+    ScenarioSpec spec;
+    spec.topology = TopologyKind::kFullInfo;
+    spec.protocol = protocol;
+    spec.n = 16;
+    spec.rounds = 5;
+    spec.coalition = CoalitionSpec::custom({1, 2, 3});
+    spec.target = 1;
+    const std::shared_ptr<const TurnGame> game = entry.make_game(spec);
+    const std::unique_ptr<TurnPosition> position = game->new_position();
+    for (const std::string& deviation : turn_deviations) {
+      std::vector<ProcessorId> coalition;
+      std::unique_ptr<TurnAdversary> adversary;
+      if (!deviation.empty()) {
+        const DeviationEntry& d = DeviationRegistry::instance().at(deviation);
+        try {
+          coalition = d.turn_coalition(*game, spec);
+          adversary = d.make_turn(*game, spec);
+        } catch (const std::invalid_argument&) {
+          continue;  // the deviation does not apply to this game
+        }
+      }
+      const auto trial = [&](std::uint64_t seed) {
+        Xoshiro256 rng(seed);
+        return play_turn_game(*position, coalition, adversary.get(), rng);
+      };
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) (void)trial(seed);
+
+      const std::uint64_t before = allocations();
+      const Value outcome = trial(1234);
+      const std::uint64_t after = allocations();
+      EXPECT_EQ(after - before, 0u)
+          << "steady-state turn-game trial allocated (" << protocol << " " << deviation << ")";
+      EXPECT_LT(outcome, static_cast<Value>(game->players()));
+      profiles.push_back(protocol + "+" + deviation);
+    }
+  }
+  for (const char* expected : {"baton+", "baton+baton-greedy", "majority-coin+",
+                               "majority-coin+majority-target", "alternating-xor+",
+                               "alternating-xor+xor-last-mover", "xor-leaf-edge+"}) {
+    EXPECT_NE(std::find(profiles.begin(), profiles.end(), expected), profiles.end())
+        << expected;
+  }
+}
+
 TEST(ZeroAllocation, ALeadUniSteadyStateStaysBounded) {
   // A-LEADuni strategies are scalar-state too, so the whole trial is also
   // allocation-free once warm — documenting that the property is not
@@ -376,8 +439,8 @@ TEST(ZeroAllocation, RunScenarioAllocationsDoNotGrowWithTrials) {
   // The scenario layer end to end at threads=1: once the executor thread's
   // workspace is warm, a run allocates only per-run structures (result,
   // slots, the batch body), never per trial — so T=1000 and T=2000 runs
-  // allocate the same count, on the per-trial scalar bodies (ring, sync
-  // and graph) and on the window-staging lane body alike.
+  // allocate the same count, on the per-trial scalar bodies (ring, sync,
+  // graph and turn game) and on the window-staging lane body alike.
   ScenarioSpec scalar;
   scalar.protocol = "alead-uni";
   scalar.n = 16;
@@ -397,8 +460,16 @@ TEST(ZeroAllocation, RunScenarioAllocationsDoNotGrowWithTrials) {
   graph.protocol = "shamir-lead";
   graph.n = 8;
   graph.seed = 5;
+  ScenarioSpec turn;
+  turn.topology = TopologyKind::kFullInfo;
+  turn.protocol = "baton";
+  turn.deviation = "baton-greedy";
+  turn.coalition = CoalitionSpec::custom({1, 2, 3, 4});
+  turn.target = 15;
+  turn.n = 16;
+  turn.seed = 5;
 
-  for (ScenarioSpec spec : {scalar, lanes, sync, graph}) {
+  for (ScenarioSpec spec : {scalar, lanes, sync, graph, turn}) {
     spec.threads = 1;
     const auto run_counting = [&spec](std::size_t trials) {
       spec.trials = trials;

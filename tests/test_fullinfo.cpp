@@ -17,26 +17,41 @@
 namespace fle {
 namespace {
 
-TEST(BatonGame, ReplayTracksHolderAndUnvisited) {
+TEST(BatonGame, PositionTracksHolderAndUnvisited) {
   BatonGame g(5);
-  const auto s0 = g.replay({});
-  EXPECT_EQ(s0.holder, 0);
-  EXPECT_EQ(s0.unvisited, (std::vector<ProcessorId>{1, 2, 3, 4}));
-  const auto s1 = g.replay({2});  // pass to the 3rd unvisited: player 3
-  EXPECT_EQ(s1.holder, 3);
-  EXPECT_EQ(s1.unvisited, (std::vector<ProcessorId>{1, 2, 4}));
-  EXPECT_FALSE(g.finished({2}));
-  EXPECT_EQ(g.action_count({2}), 3u);
+  const auto position = g.new_position();
+  const auto& baton = static_cast<const BatonPosition&>(*position);
+  const auto unvisited = [&] {
+    return std::vector<ProcessorId>(baton.unvisited().begin(), baton.unvisited().end());
+  };
+  EXPECT_EQ(position->mover(), 0);
+  EXPECT_EQ(unvisited(), (std::vector<ProcessorId>{1, 2, 3, 4}));
+  position->play(2);  // pass to the 3rd unvisited: player 3
+  EXPECT_EQ(position->mover(), 3);
+  EXPECT_EQ(unvisited(), (std::vector<ProcessorId>{1, 2, 4}));
+  EXPECT_FALSE(position->finished());
+  EXPECT_EQ(position->action_count(), 3u);
+  EXPECT_EQ(std::vector<Value>(position->history().begin(), position->history().end()),
+            (std::vector<Value>{2}));
+  for (const Value action : {2, 0, 0}) position->play(action);  // 4, then 1, then 2
+  EXPECT_TRUE(position->finished());
+  EXPECT_EQ(position->outcome(), 2u);
+  // reset() starts a fresh execution on the same position.
+  position->reset();
+  EXPECT_EQ(position->mover(), 0);
+  EXPECT_EQ(unvisited(), (std::vector<ProcessorId>{1, 2, 3, 4}));
+  EXPECT_TRUE(position->history().empty());
 }
 
 TEST(BatonGame, HonestElectsUniformlyAmongNonStarters) {
   const int n = 8;
   BatonGame g(n);
+  const auto position = g.new_position();
   Xoshiro256 rng(42);
   std::vector<int> wins(static_cast<std::size_t>(n), 0);
   const int trials = 14000;
   for (int i = 0; i < trials; ++i) {
-    ++wins[static_cast<std::size_t>(play_turn_game(g, {}, nullptr, rng))];
+    ++wins[static_cast<std::size_t>(play_turn_game(*position, {}, nullptr, rng))];
   }
   EXPECT_EQ(wins[0], 0);  // the starter never receives the baton
   for (int p = 1; p < n; ++p) {
@@ -49,6 +64,7 @@ TEST(BatonGame, HonestElectsUniformlyAmongNonStarters) {
 TEST(BatonGame, GreedyCoalitionBoostsTarget) {
   const int n = 16;
   BatonGame g(n);
+  const auto position = g.new_position();
   const ProcessorId target = 9;
   Xoshiro256 rng(7);
   const int trials = 4000;
@@ -56,7 +72,7 @@ TEST(BatonGame, GreedyCoalitionBoostsTarget) {
   {
     int hits = 0;
     for (int i = 0; i < trials; ++i) {
-      hits += play_turn_game(g, {}, nullptr, rng) == static_cast<Value>(target);
+      hits += play_turn_game(*position, {}, nullptr, rng) == static_cast<Value>(target);
     }
     honest_rate = static_cast<double>(hits) / trials;
   }
@@ -65,7 +81,7 @@ TEST(BatonGame, GreedyCoalitionBoostsTarget) {
     BatonGreedyAdversary adv(coalition, target);
     int hits = 0;
     for (int i = 0; i < trials; ++i) {
-      hits += play_turn_game(g, coalition, &adv, rng) == static_cast<Value>(target);
+      hits += play_turn_game(*position, coalition, &adv, rng) == static_cast<Value>(target);
     }
     small_rate = static_cast<double>(hits) / trials;
   }
@@ -74,7 +90,7 @@ TEST(BatonGame, GreedyCoalitionBoostsTarget) {
     BatonGreedyAdversary adv(coalition, target);
     int hits = 0;
     for (int i = 0; i < trials; ++i) {
-      hits += play_turn_game(g, coalition, &adv, rng) == static_cast<Value>(target);
+      hits += play_turn_game(*position, coalition, &adv, rng) == static_cast<Value>(target);
     }
     large_rate = static_cast<double>(hits) / trials;
   }
@@ -87,33 +103,43 @@ TEST(BatonGame, GreedyCoalitionBoostsTarget) {
 TEST(BatonGame, CoalitionCannotElectTheStarter) {
   const int n = 6;
   BatonGame g(n);
+  const auto position = g.new_position();
   std::vector<ProcessorId> coalition{1, 2, 3};
   BatonGreedyAdversary adv(coalition, 0);
   Xoshiro256 rng(3);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_NE(play_turn_game(g, coalition, &adv, rng), 0u);
+    EXPECT_NE(play_turn_game(*position, coalition, &adv, rng), 0u);
   }
 }
 
 TEST(MajorityCoin, HonestIsFair) {
   const int n = 15;
   MajorityCoinGame g(n);
+  const auto position = g.new_position();
   Xoshiro256 rng(11);
   int ones = 0;
   const int trials = 20000;
-  for (int i = 0; i < trials; ++i) ones += play_turn_game(g, {}, nullptr, rng) == 1;
+  for (int i = 0; i < trials; ++i) ones += play_turn_game(*position, {}, nullptr, rng) == 1;
   EXPECT_NEAR(static_cast<double>(ones) / trials, 0.5, 0.02);
 }
 
 TEST(MajorityCoin, TieBreaksToZeroOnEvenN) {
   MajorityCoinGame g(4);
-  EXPECT_EQ(g.outcome({1, 1, 0, 0}), 0u);
-  EXPECT_EQ(g.outcome({1, 1, 1, 0}), 1u);
+  const auto position = g.new_position();
+  const auto outcome = [&](std::initializer_list<Value> votes) {
+    position->reset();
+    for (const Value v : votes) position->play(v);
+    EXPECT_TRUE(position->finished());
+    return position->outcome();
+  };
+  EXPECT_EQ(outcome({1, 1, 0, 0}), 0u);
+  EXPECT_EQ(outcome({1, 1, 1, 0}), 1u);
 }
 
 TEST(MajorityCoin, CoalitionBiasMatchesBinomialEstimate) {
   const int n = 25;
   MajorityCoinGame g(n);
+  const auto position = g.new_position();
   Xoshiro256 rng(5);
   for (const int k : {1, 3, 5, 9}) {
     std::vector<ProcessorId> coalition;
@@ -122,7 +148,7 @@ TEST(MajorityCoin, CoalitionBiasMatchesBinomialEstimate) {
     int ones = 0;
     const int trials = 20000;
     for (int i = 0; i < trials; ++i) {
-      ones += play_turn_game(g, coalition, &adv, rng) == 1;
+      ones += play_turn_game(*position, coalition, &adv, rng) == 1;
     }
     const double measured = static_cast<double>(ones) / trials - 0.5;
     const double predicted = majority_bias_estimate(n, k);
@@ -148,16 +174,17 @@ TEST(TurnGame, AdversaryActionsAreClamped) {
   // never crashing the runner.
   class Wild final : public TurnAdversary {
    public:
-    Value choose(const TurnGame&, const Transcript&, ProcessorId) override {
+    Value choose(const TurnPosition&, ProcessorId) const override {
       return 0xffff'ffffull;
     }
   };
   BatonGame g(5);
+  const auto position = g.new_position();
   std::vector<ProcessorId> coalition{1, 2, 3, 4};
   Wild adv;
   Xoshiro256 rng(1);
   for (int i = 0; i < 50; ++i) {
-    const Value leader = play_turn_game(g, coalition, &adv, rng);
+    const Value leader = play_turn_game(*position, coalition, &adv, rng);
     EXPECT_LT(leader, 5u);
   }
 }

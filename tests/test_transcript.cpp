@@ -320,22 +320,25 @@ TEST(TranscriptReplay, RingRedriveDetectsATamperedSchedule) {
 
 TEST(TranscriptReplay, TurnGameRedriveReproducesTheOutcome) {
   const BatonGame game(8);
+  const auto position = game.new_position();
   Xoshiro256 rng(5);
   ExecutionTranscript recorded;
-  const Value outcome = play_turn_game(game, {}, nullptr, rng, &recorded);
+  const Value outcome = play_turn_game(*position, {}, nullptr, rng, &recorded);
   EXPECT_GT(recorded.size(), 0u);
-  EXPECT_EQ(replay_turn_game(game, recorded.events()), outcome);
+  EXPECT_EQ(replay_turn_game(*position, recorded.events()), outcome);
 }
 
 TEST(TranscriptReplay, TurnGameRedriveDetectsDivergence) {
   const BatonGame game(8);
+  const auto position = game.new_position();
   Xoshiro256 rng(6);
   ExecutionTranscript recorded;
-  play_turn_game(game, {}, nullptr, rng, &recorded);
+  play_turn_game(*position, {}, nullptr, rng, &recorded);
 
   // A different game shape must be caught: replay against a smaller game.
   const BatonGame smaller(4);
-  EXPECT_THROW(replay_turn_game(smaller, recorded.events()), std::runtime_error);
+  const auto smaller_position = smaller.new_position();
+  EXPECT_THROW(replay_turn_game(*smaller_position, recorded.events()), std::runtime_error);
 
   // A recording whose outcome was tampered with must be caught too.
   ExecutionTranscript tampered;
@@ -346,7 +349,70 @@ TEST(TranscriptReplay, TurnGameRedriveDetectsDivergence) {
       tampered.record(e.kind, e.a, e.b, e.c);
     }
   }
-  EXPECT_THROW(replay_turn_game(game, tampered.events()), std::runtime_error);
+  EXPECT_THROW(replay_turn_game(*position, tampered.events()), std::runtime_error);
+}
+
+TEST(TranscriptReplay, TurnGameRedriveNamesTheFirstDivergence) {
+  // Every message names the first step where game and recording disagree,
+  // even when later steps disagree as well.
+  const BatonGame game(6);
+  const auto position = game.new_position();
+  Xoshiro256 rng(9);
+  ExecutionTranscript recorded;
+  const Value outcome = play_turn_game(*position, {}, nullptr, rng, &recorded);
+  const std::vector<TranscriptEvent> events(recorded.events().begin(), recorded.events().end());
+  ASSERT_EQ(events.size(), 6u);  // 5 turns + the decision
+
+  const auto divergence = [&position](const std::vector<TranscriptEvent>& edited) {
+    try {
+      replay_turn_game(*position, edited);
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("no divergence");
+  };
+  const std::string prefix = "turn-game replay diverged: ";
+
+  // Wrong mover at turn 2 (and a bad action at turn 3): turn 2 is named.
+  std::vector<TranscriptEvent> edited = events;
+  edited[2].b = edited[2].b == 0 ? 1 : 0;
+  edited[3].c = 99;
+  EXPECT_EQ(divergence(edited), prefix + "turn 2: game says mover " +
+                                    std::to_string(events[2].b) + ", recording says " +
+                                    std::to_string(edited[2].b));
+
+  // An action outside the legal bound: 6 - 1 - 3 = 2 actions remain at turn 3.
+  edited = events;
+  edited[3].c = 2;
+  EXPECT_EQ(divergence(edited),
+            prefix + "turn 3: recorded action 2 outside the legal bound 2");
+
+  // A turn index out of sequence.
+  edited = events;
+  edited[1].a = 4;
+  EXPECT_EQ(divergence(edited), prefix + "recorded turn index 4 at position 1");
+
+  // A turn past the end of the game, before the decision.
+  edited = events;
+  edited.insert(edited.end() - 1, TranscriptEvent{TranscriptEventKind::kTurn, 5, 0, 0});
+  EXPECT_EQ(divergence(edited),
+            prefix + "game finished after 5 moves but the recording has another turn");
+
+  // A truncated recording, and one without its decision.
+  edited.assign(events.begin(), events.begin() + 3);
+  EXPECT_EQ(divergence(edited),
+            prefix + "recording ends after 3 moves but the game is not finished");
+  edited.assign(events.begin(), events.end() - 1);
+  EXPECT_EQ(divergence(edited), prefix + "recording carries no decision event");
+
+  // A tampered decision.
+  edited = events;
+  edited.back().c = outcome + 1;
+  EXPECT_EQ(divergence(edited), prefix + "replayed outcome " + std::to_string(outcome) +
+                                    " != recorded outcome " + std::to_string(outcome + 1));
+
+  // The untouched recording still replays on the same position.
+  EXPECT_EQ(replay_turn_game(*position, events), outcome);
 }
 
 // ---- shard-row round trip ---------------------------------------------------
