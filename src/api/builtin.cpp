@@ -445,8 +445,9 @@ void register_deviations(std::vector<DeviationEntry>& out) {
     entry.name = "baton-greedy";
     entry.summary = "Greedy baton coalition burning honest non-targets (Saks)";
     // The adversary downcasts the position to BatonPosition to read the
-    // unvisited set; gate the pairing here (found by the conformance fuzzer: an unchecked
-    // cast let this adversary read garbage state from the XOR games).
+    // unvisited set; gate the pairing here (found by the conformance
+    // fuzzer: an unchecked cast let this adversary read garbage state from
+    // the XOR games).
     entry.turn_coalition = [](const TurnGame& game, const ScenarioSpec& spec) {
       require_protocol<BatonGame>("baton-greedy", "baton", game);
       return require_coalition(spec, "baton-greedy").members();
