@@ -10,13 +10,20 @@
 // allocations_per_trial counter (counting operator new shim below) is the
 // steady-state allocation count of the measured loop — 0 on the reused
 // ring path.
+//
+// The *Transcripts rows time the canonical report and the store build over
+// a transcript-recording sweep, with and without the transcripts' encoding
+// cache (sim/transcript.h).
 
 #include <benchmark/benchmark.h>
 
 #include "core/counting_new.inc"
 
+#include <fstream>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/registry.h"
@@ -26,6 +33,7 @@
 #include "core/ctr_rng.h"
 #include "core/random_function.h"
 #include "core/rng.h"
+#include "fabric/driver.h"
 #include "fullinfo/turn_game.h"
 #include "protocols/alead_uni.h"
 #include "protocols/basic_lead.h"
@@ -37,7 +45,9 @@
 #include "sim/graph_engine.h"
 #include "sim/lane_engine.h"
 #include "sim/sync_engine.h"
+#include "store/store.h"
 #include "verify/fuzzer.h"
+#include "verify/shard.h"
 
 namespace {
 
@@ -552,6 +562,93 @@ void BM_MixedSweepBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * sweep_trials(sweep));
 }
 BENCHMARK(BM_MixedSweepBatched)->UseRealTime();
+
+// ---- transcript report and store layers (items/sec = trials) ------------
+//
+// ci/sweep_lanes.txt's shapes with transcripts recorded on every row, run
+// in-process once (fle_sweep --local).  Each row has two variants:
+//   fresh  — the run_sweep results as captured, so every transcript is
+//            encoded and hashed inside the timed loop (a worker, --local);
+//   parsed — the same results after a trip through shard rows, as the
+//            fabric driver and `fle_store build` hold them: every transcript
+//            carries its cached bytes and its verified content key.
+// The gap between the two is what the encoding cache saves per layer.
+
+struct TranscriptSweep {
+  SweepSpec sweep;
+  std::vector<std::string> spec_lines;
+  std::vector<ScenarioResult> fresh;
+  std::vector<ScenarioResult> parsed;
+  std::int64_t trials = 0;
+};
+
+const TranscriptSweep& transcript_sweep() {
+  static const TranscriptSweep data = [] {
+    TranscriptSweep out;
+    const std::string path = std::string(FLE_SOURCE_DIR) + "/ci/sweep_lanes.txt";
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error("cannot read '" + path + "'");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      ScenarioSpec spec = verify::parse_spec(line);
+      spec.record_transcripts = true;
+      out.sweep.add(spec);
+      out.spec_lines.push_back(verify::format_spec(verify::shard_key_spec(spec)));
+      out.trials += static_cast<std::int64_t>(spec.trials);
+    }
+    out.fresh = run_sweep(out.sweep);
+    for (std::size_t i = 0; i < out.fresh.size(); ++i) {
+      verify::ShardRow row;
+      row.case_index = i;
+      row.spec_line = out.spec_lines[i];
+      row.result = out.fresh[i];
+      out.parsed.push_back(verify::parse_shard_row(verify::format_shard_row(row)).result);
+    }
+    return out;
+  }();
+  return data;
+}
+
+void BM_CanonicalReportTranscripts(benchmark::State& state, bool parsed) {
+  const TranscriptSweep& data = transcript_sweep();
+  const std::vector<ScenarioResult>& results = parsed ? data.parsed : data.fresh;
+  std::size_t bytes = 0;
+  {
+    const AllocationScope allocations(state, "allocations_per_iteration");
+    for (auto _ : state) {
+      const std::string report = fabric::canonical_report(data.sweep, results);
+      bytes = report.size();
+      benchmark::DoNotOptimize(report.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * data.trials);
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+}
+BENCHMARK_CAPTURE(BM_CanonicalReportTranscripts, fresh, false);
+BENCHMARK_CAPTURE(BM_CanonicalReportTranscripts, parsed, true);
+
+void BM_StoreBuildTranscripts(benchmark::State& state, bool parsed) {
+  const TranscriptSweep& data = transcript_sweep();
+  const std::vector<ScenarioResult>& results = parsed ? data.parsed : data.fresh;
+  std::size_t bytes = 0;
+  {
+    const AllocationScope allocations(state, "allocations_per_iteration");
+    for (auto _ : state) {
+      StoreWriter writer;
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        writer.add_scenario(data.spec_lines[i], results[i].per_trial_transcript);
+      }
+      const std::vector<std::uint8_t> image = writer.finish();
+      bytes = image.size();
+      benchmark::DoNotOptimize(image.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * data.trials);
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+}
+BENCHMARK_CAPTURE(BM_StoreBuildTranscripts, fresh, false);
+BENCHMARK_CAPTURE(BM_StoreBuildTranscripts, parsed, true);
 
 }  // namespace
 

@@ -133,6 +133,10 @@ class GameTreeTurnGame final : public TurnGame {
   GameTree tree_;
 };
 
+/// The registered protocols served by GameTreeTurnGame, as require_protocol
+/// names them.
+constexpr const char* kGameTreeProtocols = "alternating-xor' or 'xor-leaf-edge";
+
 /// The last mover of the alternating-XOR game forces the outcome: at its
 /// final move it plays target XOR (everything revealed so far); earlier
 /// moves are arbitrary (the wait-then-choose failure of async coin toss).
@@ -478,10 +482,15 @@ void register_deviations(std::vector<DeviationEntry>& out) {
     DeviationEntry entry;
     entry.name = "xor-last-mover";
     entry.summary = "Wait-then-choose: the last XOR mover forces the coin";
-    entry.turn_coalition = [](const TurnGame&, const ScenarioSpec& spec) {
+    // The wait-then-choose argument needs a game tree whose last mover
+    // fixes the outcome; on baton or majority-coin it would run as a
+    // meaningless adversary, so the pairing is refused like the others.
+    entry.turn_coalition = [](const TurnGame& game, const ScenarioSpec& spec) {
+      require_protocol<GameTreeTurnGame>("xor-last-mover", kGameTreeProtocols, game);
       return std::vector<ProcessorId>{(spec.rounds - 1) % 2};
     };
-    entry.make_turn = [](const TurnGame&, const ScenarioSpec& spec) {
+    entry.make_turn = [](const TurnGame& game, const ScenarioSpec& spec) {
+      require_protocol<GameTreeTurnGame>("xor-last-mover", kGameTreeProtocols, game);
       return std::make_unique<XorLastMoverAdversary>(spec.target, spec.rounds);
     };
     out.push_back(std::move(entry));

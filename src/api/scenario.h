@@ -216,7 +216,10 @@ struct ScenarioResult {
   /// merged in trial_offset order.  Throws std::invalid_argument naming the
   /// mismatched field (protocol_name, deviation_name, outcome domain,
   /// base_seed, spec_trials, trial_offset contiguity, outcomes_recorded).
+  /// The rvalue overload moves the per-trial transcripts (and with them
+  /// their encoding caches) instead of copying them.
   void merge(const ScenarioResult& other);
+  void merge(ScenarioResult&& other);
 };
 
 /// Seed of trial `trial` under base seed `base_seed` (a splitmix64 stream:

@@ -351,14 +351,16 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
       results.push_back(std::move(*merged[s]));
       continue;
     }
+    // Folded by move: the parsed transcripts keep their cached bytes and
+    // verified keys for the report and the store.
     const std::vector<std::size_t>& ids = scenario_windows[s];
     std::optional<ScenarioResult> folded;
     for (const std::size_t id : ids) {
-      const Window& window = windows[id];
+      ScenarioResult& part = windows[id].row->result;
       if (!folded) {
-        folded = window.row->result;
+        folded = std::move(part);
       } else {
-        folded->merge(window.row->result);
+        folded->merge(std::move(part));
       }
     }
     const TrialWindow range = scenario_trial_window(sweep.scenarios[s]);
@@ -391,12 +393,8 @@ std::string canonical_report(const SweepSpec& sweep, std::span<const ScenarioRes
   }
   std::string out;
   for (std::size_t s = 0; s < results.size(); ++s) {
-    verify::ShardRow row;
-    row.case_index = s;
-    row.spec_line = verify::format_spec(verify::shard_key_spec(sweep.scenarios[s]));
-    row.result = results[s];
-    row.result.wall_seconds = 0.0;  // the one nondeterministic field
-    out += verify::format_shard_row(row);
+    const std::string spec_line = verify::format_spec(verify::shard_key_spec(sweep.scenarios[s]));
+    verify::append_shard_row(out, s, spec_line, results[s], /*wall_seconds=*/0.0);
     out += '\n';
   }
   return out;

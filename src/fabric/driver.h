@@ -11,6 +11,13 @@
 // worker count, window size, and fault schedule (tests/test_fabric.cpp
 // asserts this against seeded FaultPlans).
 //
+// Each returned transcript is encoded and hashed once on its way: the
+// worker encodes and hashes it into its row, the driver's parse_shard_row
+// hashes the received bytes once to verify the row's store key, and the
+// windows fold by move, so every transcript reaches the caller holding its
+// canonical bytes and verified key.  canonical_report and the store writer
+// (store/store.h) reuse both.
+//
 // Fault tolerance (DESIGN.md §8):
 //  * every dispatched window carries a deadline; a worker that misses it
 //    is dropped and the window re-issued to another worker, with the
@@ -108,7 +115,9 @@ class RemoteExecutor final : public SweepBackend {
 /// The canonical JSONL rendering both fle_sweep modes (--local and
 /// fabric) write: one shard row per scenario with wall-clock fields
 /// zeroed, so "fabric result == monolithic result" is a byte comparison
-/// of two files (the CI loopback job does exactly that with cmp).
+/// of two files (the CI loopback job does exactly that with cmp).  Rows
+/// are appended straight from `results` (no copies); cached transcript
+/// bytes and keys are reused, missing ones computed once.
 std::string canonical_report(const SweepSpec& sweep, std::span<const ScenarioResult> results);
 
 }  // namespace fle::fabric

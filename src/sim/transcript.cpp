@@ -22,21 +22,30 @@ void leb128_put(std::vector<std::uint8_t>& out, std::uint64_t value) {
   out.push_back(static_cast<std::uint8_t>(value));
 }
 
-std::uint64_t leb128_get(std::span<const std::uint8_t> bytes, std::size_t& index) {
+std::optional<std::uint64_t> leb128_try_get(std::span<const std::uint8_t> bytes,
+                                            std::size_t& index) {
   std::uint64_t v = 0;
   int shift = 0;
   for (;;) {
-    if (index >= bytes.size()) {
-      throw std::invalid_argument("leb128: truncated varint");
-    }
+    if (index >= bytes.size()) return std::nullopt;
     const std::uint8_t byte = bytes[index++];
     if (shift >= 64 || (shift == 63 && (byte & 0x7e) != 0)) {
       throw std::invalid_argument("leb128: varint overflows 64 bits");
     }
     v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return v;
+    if ((byte & 0x80) == 0) {
+      // A zero final byte adds nothing: the value had a shorter encoding.
+      if (byte == 0 && shift != 0) throw std::invalid_argument("leb128: overlong varint");
+      return v;
+    }
     shift += 7;
   }
+}
+
+std::uint64_t leb128_get(std::span<const std::uint8_t> bytes, std::size_t& index) {
+  const std::optional<std::uint64_t> value = leb128_try_get(bytes, index);
+  if (!value) throw std::invalid_argument("leb128: truncated varint");
+  return *value;
 }
 
 const char* to_string(TranscriptEventKind kind) {
@@ -68,6 +77,12 @@ void ExecutionTranscript::clear() {
   events_.clear();
   digest_ = kFnvOffset;
   count_ = 0;
+  drop_cache();
+}
+
+void ExecutionTranscript::drop_cache() {
+  bytes_.clear();
+  key_.reset();
 }
 
 void ExecutionTranscript::fold(std::uint64_t word) {
@@ -83,13 +98,16 @@ void ExecutionTranscript::record(TranscriptEventKind kind, std::uint64_t a, std:
   fold(c);
   ++count_;
   if (mode_ == TranscriptMode::kFull) events_.push_back(TranscriptEvent{kind, a, b, c});
+  // Both halves are checked: a moved-from transcript keeps its key but
+  // loses its bytes.
+  if (!bytes_.empty() || key_) [[unlikely]] drop_cache();
 }
 
-std::vector<std::uint8_t> ExecutionTranscript::encode() const {
+void ExecutionTranscript::encode_events(std::vector<std::uint8_t>& out) const {
   if (mode_ != TranscriptMode::kFull) {
     throw std::logic_error("ExecutionTranscript::encode requires kFull mode");
   }
-  std::vector<std::uint8_t> out;
+  out.clear();
   out.reserve(4 + events_.size() * 6);
   out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
   leb128_put(out, events_.size());
@@ -99,12 +117,32 @@ std::vector<std::uint8_t> ExecutionTranscript::encode() const {
     leb128_put(out, e.b);
     leb128_put(out, e.c);
   }
+}
+
+std::vector<std::uint8_t> ExecutionTranscript::encode() const {
+  if (!bytes_.empty()) return bytes_;
+  std::vector<std::uint8_t> out;
+  encode_events(out);
   return out;
 }
 
+std::span<const std::uint8_t> ExecutionTranscript::encode_into(
+    std::vector<std::uint8_t>& scratch) const {
+  if (!bytes_.empty()) return bytes_;
+  encode_events(scratch);
+  return scratch;
+}
+
 Digest256 ExecutionTranscript::content_key() const {
-  const std::vector<std::uint8_t> bytes = encode();
-  return Sha256::of(bytes);
+  if (key_) return *key_;
+  std::vector<std::uint8_t> scratch;
+  return Sha256::of(encode_into(scratch));
+}
+
+const Digest256& ExecutionTranscript::cache_content_key() {
+  if (bytes_.empty()) encode_events(bytes_);
+  if (!key_) key_ = Sha256::of(bytes_);
+  return *key_;
 }
 
 ExecutionTranscript ExecutionTranscript::decode(std::span<const std::uint8_t> bytes) {
@@ -139,6 +177,9 @@ ExecutionTranscript ExecutionTranscript::decode(std::span<const std::uint8_t> by
   if (i != bytes.size()) {
     throw std::invalid_argument("ExecutionTranscript::decode: trailing bytes");
   }
+  // Every field above was read from its one canonical encoding, so the
+  // input is exactly what encode() would write.
+  transcript.bytes_.assign(bytes.begin(), bytes.end());
   return transcript;
 }
 
@@ -165,8 +206,9 @@ std::vector<std::uint8_t> encode_transcript_set(
     std::span<const ExecutionTranscript> transcripts) {
   std::vector<std::uint8_t> out{kSetMagic[0], kSetMagic[1], kSetMagic[2], kSetMagic[3]};
   leb128_put(out, transcripts.size());
+  std::vector<std::uint8_t> scratch;
   for (const ExecutionTranscript& transcript : transcripts) {
-    const std::vector<std::uint8_t> bytes = transcript.encode();
+    const std::span<const std::uint8_t> bytes = transcript.encode_into(scratch);
     leb128_put(out, bytes.size());
     out.insert(out.end(), bytes.begin(), bytes.end());
   }

@@ -21,11 +21,20 @@
 // ring path stays allocation-free with recording off, test_alloc_free.cpp).
 //
 // Modes: kFull stores the events (and can encode() them into a compact
-// varint binary form — the wire format the roadmap's distributed driver
-// will ship shard transcripts over); kDigest keeps only a running FNV-1a
+// varint binary form — the FLET bytes shard rows, fabric result frames and
+// the content-addressed store carry); kDigest keeps only a running FNV-1a
 // fold and the event count — the cheap fingerprint TraceDigest (sim/trace.h)
-// and the shard rows use.  Both modes maintain the digest, so a kDigest
-// transcript can always be compared against a kFull one.
+// uses.  Both modes maintain the digest, so a kDigest transcript can always
+// be compared against a kFull one.
+//
+// Encoding cache: a kFull transcript can keep its canonical FLET bytes and
+// their SHA-256 content key once they are known, so a transcript crossing
+// the shard row, the canonical report and the store is encoded and hashed
+// once.  decode() keeps its (canonical, because decoding rejects every
+// non-canonical varint) input bytes; cache_content_key() fills the rest.
+// record() and clear() drop the cache.  Const readers never write it: they
+// use the cache when present and compute into caller or local storage
+// otherwise, so they stay safe to call concurrently.  operator== ignores it.
 
 #include <cstdint>
 #include <memory>
@@ -69,11 +78,16 @@ std::string format_event(const TranscriptEvent& event);
 
 /// The LEB128 varint codec the transcript encoding is built on, exposed so
 /// the fabric wire protocol (src/fabric/wire.h) frames with the identical
-/// primitive.  leb128_get throws std::invalid_argument on a truncated or
-/// 64-bit-overflowing varint and advances `index` past the bytes it
-/// consumed.
+/// primitive.  leb128_get throws std::invalid_argument on a truncated,
+/// 64-bit-overflowing or overlong varint (a final 0x00 byte after a
+/// continuation byte: every value has exactly one accepted encoding, the
+/// one leb128_put writes) and advances `index` past the bytes it consumed.
+/// leb128_try_get is the same but returns nullopt instead of throwing when
+/// the bytes end mid-varint (a stream reader that keeps buffering).
 void leb128_put(std::vector<std::uint8_t>& out, std::uint64_t value);
 std::uint64_t leb128_get(std::span<const std::uint8_t> bytes, std::size_t& index);
+std::optional<std::uint64_t> leb128_try_get(std::span<const std::uint8_t> bytes,
+                                            std::size_t& index);
 
 /// FNV-1a fold of a word sequence; the payload fingerprint graph/sync
 /// deliveries carry in their `c` slot (messages there are word sequences).
@@ -86,13 +100,13 @@ class ExecutionTranscript {
 
   [[nodiscard]] TranscriptMode mode() const { return mode_; }
 
-  /// Drops all recorded events and restarts the digest.  Storage capacity
-  /// is kept, so a reused transcript reaches an allocation-free steady
-  /// state just like the engines it observes.
+  /// Drops all recorded events and the encoding cache and restarts the
+  /// digest.  Storage capacity is kept, so a reused transcript reaches an
+  /// allocation-free steady state just like the engines it observes.
   void clear();
 
   /// Appends one event: always folds it into the digest, stores it in kFull
-  /// mode.
+  /// mode, and drops the encoding cache.
   void record(TranscriptEventKind kind, std::uint64_t a, std::uint64_t b, std::uint64_t c);
 
   // Typed helpers, one per event kind.
@@ -119,30 +133,53 @@ class ExecutionTranscript {
   [[nodiscard]] std::span<const TranscriptEvent> events() const { return events_; }
 
   /// Compact binary encoding (kFull only; throws std::logic_error in digest
-  /// mode): a 'F','L','E','T' magic, then per event one kind byte and three
-  /// LEB128 varints.  decode() inverts it exactly; round-tripping preserves
-  /// digest, count and events.
+  /// mode): a 'F','L','E','T' magic, an event-count varint, then per event
+  /// one kind byte and three LEB128 varints.  A copy of the cached bytes
+  /// when present.  decode() inverts it exactly and accepts nothing else
+  /// (overlong varints, unknown kinds and trailing bytes are rejected), so
+  /// encode(decode(b)) == b and the input bytes become the cache.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
+  /// encode() without a copy: the cached bytes when present, otherwise the
+  /// encoding written into `scratch` (overwritten; reuse it across calls).
+  [[nodiscard]] std::span<const std::uint8_t> encode_into(
+      std::vector<std::uint8_t>& scratch) const;
   static ExecutionTranscript decode(std::span<const std::uint8_t> bytes);
 
   /// SHA-256 of encode() — the content-addressed store key (src/store/).
   /// The in-loop FNV fold stays the cheap fingerprint; this strengthened
-  /// digest is computed once per trial at the store boundary, so identical
-  /// executions key identical blobs and distinct executions cannot
-  /// plausibly collide.  kFull only, like encode().
+  /// digest keys identical executions to identical blobs, and distinct
+  /// executions cannot plausibly collide.  The cached key when present,
+  /// else a hash of the cached bytes, else an encode-and-hash into local
+  /// storage.  kFull only, like encode().
   [[nodiscard]] Digest256 content_key() const;
 
+  /// Fills the encoding cache — the canonical bytes unless cached, then
+  /// their content key unless cached — and returns the key.  The shard-row
+  /// parser calls it once per decoded transcript to verify the row's store
+  /// key, so the report and the store reuse the verified key.
+  const Digest256& cache_content_key();
+  /// The cached canonical bytes; empty when absent (an encoding is never
+  /// empty: it starts with the magic).
+  [[nodiscard]] std::span<const std::uint8_t> cached_bytes() const { return bytes_; }
+  /// The cached content key: the SHA-256 of cached_bytes().
+  [[nodiscard]] const std::optional<Digest256>& cached_key() const { return key_; }
+
   /// Transcripts compare by their common observable: digest and event
-  /// count always, stored events too when both sides carry them.
+  /// count always, stored events too when both sides carry them.  The
+  /// encoding cache is derived data and never compared.
   friend bool operator==(const ExecutionTranscript& a, const ExecutionTranscript& b);
 
  private:
   void fold(std::uint64_t word);
+  void drop_cache();
+  void encode_events(std::vector<std::uint8_t>& out) const;
 
   TranscriptMode mode_;
   std::vector<TranscriptEvent> events_;
   std::uint64_t digest_ = 0xcbf29ce484222325ull;  ///< FNV-1a 64 offset basis
   std::uint64_t count_ = 0;
+  std::vector<std::uint8_t> bytes_;  ///< cached canonical encoding (empty = absent)
+  std::optional<Digest256> key_;     ///< cached SHA-256 of bytes_
 };
 
 /// Multi-transcript container: a 'F','L','E','S' magic, a varint transcript

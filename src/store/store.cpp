@@ -59,27 +59,42 @@ int store_depth(std::uint64_t trial_count) {
 
 void StoreWriter::add_scenario(std::string spec,
                                std::span<const ExecutionTranscript> transcripts) {
-  std::vector<std::vector<std::uint8_t>> blobs;
-  blobs.reserve(transcripts.size());
-  for (const ExecutionTranscript& transcript : transcripts) blobs.push_back(transcript.encode());
-  add_scenario_blobs(std::move(spec), blobs);
+  begin_scenario(std::move(spec), transcripts.size());
+  std::vector<std::uint8_t> scratch;
+  for (const ExecutionTranscript& transcript : transcripts) {
+    const std::span<const std::uint8_t> blob = transcript.encode_into(scratch);
+    add_leaf(transcript.cached_key() ? *transcript.cached_key() : Sha256::of(blob), blob);
+  }
 }
 
 void StoreWriter::add_scenario_blobs(std::string spec,
                                      std::span<const std::vector<std::uint8_t>> blobs) {
+  begin_scenario(std::move(spec), blobs.size());
+  for (const std::vector<std::uint8_t>& blob : blobs) add_leaf(Sha256::of(blob), blob);
+}
+
+void StoreWriter::begin_scenario(std::string spec, std::uint64_t trials) {
   StoreScenario scenario;
   scenario.spec = std::move(spec);
   scenario.base = leaf_hashes_.size();
-  scenario.trials = blobs.size();
+  scenario.trials = trials;
   scenarios_.push_back(std::move(scenario));
-  for (const std::vector<std::uint8_t>& blob : blobs) {
-    const Digest256 key = Sha256::of(blob);
-    logical_blob_bytes_ += blob.size();
-    auto [it, inserted] = blob_index_.try_emplace(key, blobs_.size());
-    if (inserted) blobs_.push_back(blob);
-    leaf_hashes_.push_back(key);
-    leaf_blob_index_.push_back(it->second);
+}
+
+void StoreWriter::add_leaf(const Digest256& key, std::span<const std::uint8_t> blob) {
+  logical_blob_bytes_ += blob.size();
+  auto [it, inserted] = blob_index_.try_emplace(key, blob_ends_.size());
+  if (inserted) {
+    blob_bytes_.insert(blob_bytes_.end(), blob.begin(), blob.end());
+    blob_ends_.push_back(blob_bytes_.size());
   }
+  leaf_hashes_.push_back(key);
+  leaf_blob_index_.push_back(it->second);
+}
+
+std::span<const std::uint8_t> StoreWriter::blob(std::size_t index) const {
+  const std::size_t begin = index == 0 ? 0 : blob_ends_[index - 1];
+  return std::span<const std::uint8_t>(blob_bytes_).subspan(begin, blob_ends_[index] - begin);
 }
 
 std::vector<std::uint8_t> StoreWriter::finish() const {
@@ -88,22 +103,27 @@ std::vector<std::uint8_t> StoreWriter::finish() const {
   }
   std::vector<std::uint8_t> out{kStoreMagic[0], kStoreMagic[1], kStoreMagic[2],
                                 kStoreMagic[3], kStoreVersion};
+  // Leaves: their bytes plus a tag and a length varint.  Inner nodes: under
+  // 48 bytes per child (hash plus two varints), one child per trial or
+  // subtree.  The meta record and footer come on top.
+  out.reserve(blob_bytes_.size() + 8 * blob_ends_.size() + 48 * leaf_hashes_.size() +
+              kFooterSize + 1024);
 
   // Leaf records at first use, in trial order.
-  std::vector<StoreNodeRef> blob_refs(blobs_.size());
-  std::vector<bool> written(blobs_.size(), false);
+  std::vector<StoreNodeRef> blob_refs(blob_ends_.size());
+  std::vector<bool> written(blob_ends_.size(), false);
   std::uint64_t stored_blob_bytes = 0;
   for (std::size_t trial = 0; trial < leaf_blob_index_.size(); ++trial) {
     const std::size_t index = leaf_blob_index_[trial];
     if (written[index]) continue;
     written[index] = true;
-    const std::vector<std::uint8_t>& blob = blobs_[index];
+    const std::span<const std::uint8_t> bytes = blob(index);
     const std::uint64_t offset = out.size();
     out.push_back('L');
-    leb128_put(out, blob.size());
-    out.insert(out.end(), blob.begin(), blob.end());
+    leb128_put(out, bytes.size());
+    out.insert(out.end(), bytes.begin(), bytes.end());
     blob_refs[index] = StoreNodeRef{leaf_hashes_[trial], offset, out.size() - offset};
-    stored_blob_bytes += blob.size();
+    stored_blob_bytes += bytes.size();
   }
 
   // Inner records, post-order (children before parent, slots ascending).
@@ -152,7 +172,7 @@ std::vector<std::uint8_t> StoreWriter::finish() const {
     leb128_put(out, scenario.base);
     leb128_put(out, scenario.trials);
   }
-  leb128_put(out, blobs_.size());
+  leb128_put(out, blob_ends_.size());
   leb128_put(out, stored_blob_bytes);
   leb128_put(out, logical_blob_bytes_);
   const std::uint64_t meta_length = out.size() - meta_offset;

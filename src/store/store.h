@@ -10,8 +10,11 @@
 //
 //   * each leaf is one trial's encoded transcript blob, keyed by its
 //     SHA-256 content hash (sim/digest.h; the in-loop FNV fold stays the
-//     cheap fingerprint, the strengthened digest is computed once at the
-//     store boundary);
+//     cheap fingerprint).  StoreWriter::add_scenario takes each
+//     transcript's cached bytes and key (sim/transcript.h) when it has
+//     them — a transcript parsed from a shard row carries both, its key
+//     verified by the row parser — and encodes and hashes it once
+//     otherwise;
 //   * each inner node at level k covers 16^k consecutive trials and hashes
 //     the concatenation of its 16 child hashes (absent child = 32 zero
 //     bytes), so any leaf change bubbles to the root;
@@ -90,7 +93,8 @@ int store_depth(std::uint64_t trial_count);
 /// appended in sweep order; their trials take consecutive global indices.
 class StoreWriter {
  public:
-  /// Adds one scenario's transcripts (kFull, trial order).
+  /// Adds one scenario's transcripts (kFull, trial order), reusing their
+  /// cached bytes and content keys when present.
   void add_scenario(std::string spec, std::span<const ExecutionTranscript> transcripts);
   /// Same, from already-encoded FLET blobs (the fabric/shard path).
   void add_scenario_blobs(std::string spec,
@@ -103,14 +107,19 @@ class StoreWriter {
   void write_file(const std::string& path) const;
 
   [[nodiscard]] std::uint64_t trial_count() const { return leaf_hashes_.size(); }
-  [[nodiscard]] std::uint64_t unique_blobs() const { return blobs_.size(); }
+  [[nodiscard]] std::uint64_t unique_blobs() const { return blob_ends_.size(); }
 
  private:
+  void begin_scenario(std::string spec, std::uint64_t trials);
+  void add_leaf(const Digest256& key, std::span<const std::uint8_t> blob);
+  [[nodiscard]] std::span<const std::uint8_t> blob(std::size_t index) const;
+
   std::vector<StoreScenario> scenarios_;
   std::vector<Digest256> leaf_hashes_;             ///< per global trial
-  std::vector<std::vector<std::uint8_t>> blobs_;   ///< unique, first-use order
-  std::map<Digest256, std::size_t> blob_index_;    ///< content key -> blobs_ index
-  std::vector<std::size_t> leaf_blob_index_;       ///< per trial -> blobs_ index
+  std::vector<std::uint8_t> blob_bytes_;           ///< unique blobs, first-use order
+  std::vector<std::size_t> blob_ends_;             ///< per unique blob: end in blob_bytes_
+  std::map<Digest256, std::size_t> blob_index_;    ///< content key -> unique blob index
+  std::vector<std::size_t> leaf_blob_index_;       ///< per trial -> unique blob index
   std::uint64_t logical_blob_bytes_ = 0;
 };
 

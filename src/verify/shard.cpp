@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <climits>
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string_view>
@@ -12,9 +15,7 @@ namespace fle::verify {
 
 namespace {
 
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
+void append_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"':
@@ -30,29 +31,81 @@ std::string escape(const std::string& text) {
         out += c;
     }
   }
-  return out;
 }
+
+template <typename Int>
+void append_int(std::string& out, Int value) {
+  char buffer[24];
+  const char* end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  out.append(buffer, static_cast<std::size_t>(end - buffer));
+}
+
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+/// Lowercase hex of `bytes`, written in place after one resize.
+void append_hex(std::string& out, std::span<const std::uint8_t> bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + 2 * bytes.size());
+  char* cursor = out.data() + at;
+  for (const std::uint8_t byte : bytes) {
+    *cursor++ = kHexDigits[byte >> 4];
+    *cursor++ = kHexDigits[byte & 0xf];
+  }
+}
+
+/// Writes one flat JSON object straight into `out`, which may already hold
+/// earlier rows (the canonical report appends every row to one string).
+class RowWriter {
+ public:
+  explicit RowWriter(std::string& out) : out_(out) { out_ += '{'; }
+
+  template <typename Int>
+  void number(const char* key, Int value) {
+    open(key);
+    append_int(out_, value);
+  }
+
+  void raw(const char* key, std::string_view value) {
+    open(key);
+    out_ += value;
+  }
+
+  /// A quoted value that may need escaping (spec lines, display names).
+  void text(const char* key, std::string_view value) {
+    open_quoted(key);
+    append_escaped(out_, value);
+    out_ += '"';
+  }
+
+  /// Opens a quoted value the caller appends itself — digits, commas, F and
+  /// hex only, which never need escaping — and closes with close_quoted().
+  std::string& open_quoted(const char* key) {
+    open(key);
+    out_ += '"';
+    return out_;
+  }
+  void close_quoted() { out_ += '"'; }
+
+  void finish() { out_ += '}'; }
+
+ private:
+  void open(const char* key) {
+    if (!first_) out_ += ", ";
+    first_ = false;
+    out_ += '"';
+    out_ += key;
+    out_ += "\": ";
+  }
+
+  std::string& out_;
+  bool first_ = true;
+};
 
 std::string render_double(double value) {
   char buffer[64];
   // %.17g round-trips every IEEE double, keeping merged means bit-exact.
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   return buffer;
-}
-
-void append_kv(std::string& out, const char* key, const std::string& quoted_or_raw,
-               bool quoted) {
-  if (out.size() > 1) out += ", ";
-  out += '"';
-  out += key;
-  out += "\": ";
-  if (quoted) {
-    out += '"';
-    out += escape(quoted_or_raw);
-    out += '"';
-  } else {
-    out += quoted_or_raw;
-  }
 }
 
 /// Strict digits-only unsigned integer.  std::stoull would silently wrap
@@ -91,10 +144,12 @@ std::size_t cell_count(std::string_view list) {
 }
 
 /// Minimal flat-JSON scanner for the rows this module itself writes: one
-/// object, string / number / bool values, no nesting.
+/// object, string / number / bool values, no nesting.  Values are views into
+/// the scanned text (it must outlive the scanner); only a string holding an
+/// escape is unescaped into storage of its own.
 class FlatJson {
  public:
-  explicit FlatJson(const std::string& text) {
+  explicit FlatJson(std::string_view text) {
     std::size_t i = 0;
     skip_ws(text, i);
     expect(text, i, '{');
@@ -104,12 +159,12 @@ class FlatJson {
     } else {
       for (;;) {
         skip_ws(text, i);
-        const std::string key = parse_string(text, i);
+        const std::string_view key = parse_string(text, i);
         skip_ws(text, i);
         expect(text, i, ':');
         skip_ws(text, i);
         if (!values_.emplace(key, parse_value(text, i)).second) {
-          throw bad("duplicate key '" + key + "'");
+          throw bad("duplicate key '" + std::string(key) + "'");
         }
         skip_ws(text, i);
         if (i >= text.size()) throw bad("truncated row: unterminated object");
@@ -127,43 +182,45 @@ class FlatJson {
     }
   }
 
-  [[nodiscard]] bool has(const std::string& key) const { return values_.count(key) != 0; }
+  [[nodiscard]] bool has(std::string_view key) const { return values_.count(key) != 0; }
 
-  [[nodiscard]] const std::string& str(const std::string& key) const {
+  [[nodiscard]] std::string_view str(std::string_view key) const {
     const auto it = values_.find(key);
-    if (it == values_.end()) throw bad("missing key '" + key + "'");
+    if (it == values_.end()) throw bad("missing key '" + std::string(key) + "'");
     return it->second;
   }
 
-  [[nodiscard]] std::uint64_t u64(const std::string& key) const {
-    const std::string& text = str(key);
+  [[nodiscard]] std::uint64_t u64(std::string_view key) const {
+    const std::string_view text = str(key);
     const std::optional<std::uint64_t> value = strict_u64(text);
     if (!value) {
-      throw bad("key '" + key + "' = '" + text + "' is not an unsigned integer below 2^64");
+      throw bad("key '" + std::string(key) + "' = '" + std::string(text) +
+                "' is not an unsigned integer below 2^64");
     }
     return *value;
   }
 
-  [[nodiscard]] double dbl(const std::string& key) const {
-    const std::string& text = str(key);
+  [[nodiscard]] double dbl(std::string_view key) const {
+    const std::string text(str(key));
     std::size_t consumed = 0;
     double value = 0.0;
     try {
       value = std::stod(text, &consumed);
     } catch (const std::logic_error&) {
-      throw bad("key '" + key + "' = '" + text + "' is not a number");
+      throw bad("key '" + std::string(key) + "' = '" + text + "' is not a number");
     }
     if (consumed != text.size()) {
-      throw bad("key '" + key + "' = '" + text + "' has trailing bytes after the number");
+      throw bad("key '" + std::string(key) + "' = '" + text +
+                "' has trailing bytes after the number");
     }
     return value;
   }
 
-  [[nodiscard]] bool boolean(const std::string& key) const {
-    const std::string& text = str(key);
+  [[nodiscard]] bool boolean(std::string_view key) const {
+    const std::string_view text = str(key);
     if (text == "true") return true;
     if (text == "false") return false;
-    throw bad("key '" + key + "' = '" + text + "' is not a boolean");
+    throw bad("key '" + std::string(key) + "' = '" + std::string(text) + "' is not a boolean");
   }
 
  private:
@@ -171,20 +228,26 @@ class FlatJson {
     return std::invalid_argument("shard row: " + what);
   }
 
-  static void skip_ws(const std::string& t, std::size_t& i) {
+  static void skip_ws(std::string_view t, std::size_t& i) {
     while (i < t.size() && (t[i] == ' ' || t[i] == '\t' || t[i] == '\r')) ++i;
   }
 
-  static void expect(const std::string& t, std::size_t& i, char c) {
+  static void expect(std::string_view t, std::size_t& i, char c) {
     if (i >= t.size() || t[i] != c) {
       throw bad(std::string("expected '") + c + "' at offset " + std::to_string(i));
     }
     ++i;
   }
 
-  static std::string parse_string(const std::string& t, std::size_t& i) {
+  std::string_view parse_string(std::string_view t, std::size_t& i) {
     expect(t, i, '"');
-    std::string out;
+    const std::size_t start = i;
+    const std::size_t stop = t.find_first_of("\"\\", i);
+    if (stop != std::string_view::npos && t[stop] == '"') {
+      i = stop + 1;
+      return t.substr(start, stop - start);  // no escapes: a view
+    }
+    std::string& out = owned_.emplace_back();
     while (i < t.size() && t[i] != '"') {
       if (t[i] == '\\') {
         ++i;
@@ -211,58 +274,65 @@ class FlatJson {
     return out;
   }
 
-  static std::string parse_value(const std::string& t, std::size_t& i) {
+  std::string_view parse_value(std::string_view t, std::size_t& i) {
     if (i >= t.size()) throw bad("missing value");
     if (t[i] == '"') return parse_string(t, i);
-    std::string out;
-    while (i < t.size() && t[i] != ',' && t[i] != '}' && t[i] != ' ') out += t[i++];
-    if (out.empty()) throw bad("empty value");
-    return out;
+    const std::size_t start = i;
+    while (i < t.size() && t[i] != ',' && t[i] != '}' && t[i] != ' ') ++i;
+    if (i == start) throw bad("empty value");
+    return t.substr(start, i - start);
   }
 
-  std::map<std::string, std::string> values_;
+  std::deque<std::string> owned_;  ///< unescaped strings (stable addresses)
+  std::map<std::string_view, std::string_view, std::less<>> values_;
 };
 
-std::string counts_list(const OutcomeCounter& outcomes) {
-  std::string out;
+void append_counts(std::string& out, const OutcomeCounter& outcomes) {
   for (int j = 0; j < outcomes.domain(); ++j) {
     if (j != 0) out += ',';
-    out += std::to_string(outcomes.count(static_cast<Value>(j)));
+    append_int(out, outcomes.count(static_cast<Value>(j)));
   }
-  return out;
 }
 
-std::string per_trial_list(const std::vector<Outcome>& per_trial) {
-  std::string out;
+void append_per_trial(std::string& out, const std::vector<Outcome>& per_trial) {
   for (std::size_t t = 0; t < per_trial.size(); ++t) {
     if (t != 0) out += ',';
-    out += per_trial[t].failed() ? std::string("F") : std::to_string(per_trial[t].leader());
+    if (per_trial[t].failed()) {
+      out += 'F';
+    } else {
+      append_int(out, per_trial[t].leader());
+    }
   }
-  return out;
 }
-
-constexpr char kHexDigits[] = "0123456789abcdef";
 
 /// The transcripts column (comma-separated hex blobs, one per trial: the
 /// compact binary encoding of sim/transcript.h, so a merged shard file
 /// reproduces the monolithic capture event for event) and the derived
 /// store_keys column (each blob's content key, sim/digest.h: the join
 /// column between shard rows and the content-addressed store, src/store/).
-/// Each transcript is encoded once for both.
-void transcript_columns(const std::vector<ExecutionTranscript>& transcripts,
-                        std::string& blobs, std::string& keys) {
+/// A transcript's cached bytes and key are used as they are; a transcript
+/// without them (a fresh capture) is encoded into one reused buffer and
+/// hashed once.
+void append_transcript_columns(RowWriter& row,
+                               const std::vector<ExecutionTranscript>& transcripts) {
+  std::vector<Digest256> keys;
+  keys.reserve(transcripts.size());
+  std::vector<std::uint8_t> scratch;
+  std::string& blobs = row.open_quoted("transcripts");
   for (std::size_t t = 0; t < transcripts.size(); ++t) {
-    if (t != 0) {
-      blobs += ',';
-      keys += ',';
-    }
-    const std::vector<std::uint8_t> bytes = transcripts[t].encode();
-    for (const std::uint8_t byte : bytes) {
-      blobs += kHexDigits[byte >> 4];
-      blobs += kHexDigits[byte & 0xf];
-    }
-    keys += Sha256::of(bytes).hex();
+    if (t != 0) blobs += ',';
+    const ExecutionTranscript& transcript = transcripts[t];
+    const std::span<const std::uint8_t> bytes = transcript.encode_into(scratch);
+    append_hex(blobs, bytes);
+    keys.push_back(transcript.cached_key() ? *transcript.cached_key() : Sha256::of(bytes));
   }
+  row.close_quoted();
+  std::string& column = row.open_quoted("store_keys");
+  for (std::size_t t = 0; t < keys.size(); ++t) {
+    if (t != 0) column += ',';
+    append_hex(column, keys[t].bytes);
+  }
+  row.close_quoted();
 }
 
 /// Nibble value of every byte, -1 for a non-hex character.  Either case is
@@ -309,37 +379,40 @@ ScenarioSpec shard_key_spec(ScenarioSpec spec) {
   return spec;
 }
 
-std::string format_shard_row(const ShardRow& row) {
-  const ScenarioResult& r = row.result;
-  std::string out = "{";
-  append_kv(out, "case", std::to_string(row.case_index), false);
-  append_kv(out, "spec", row.spec_line, true);
-  append_kv(out, "n", std::to_string(r.outcomes.domain()), false);
-  append_kv(out, "trials", std::to_string(r.trials), false);
-  append_kv(out, "trial_offset", std::to_string(r.trial_offset), false);
-  append_kv(out, "spec_trials", std::to_string(r.spec_trials), false);
-  append_kv(out, "base_seed", std::to_string(r.base_seed), false);
-  append_kv(out, "fails", std::to_string(r.outcomes.fails()), false);
-  append_kv(out, "counts", counts_list(r.outcomes), true);
-  append_kv(out, "total_messages", std::to_string(r.total_messages), false);
-  append_kv(out, "max_messages", std::to_string(r.max_messages), false);
-  append_kv(out, "total_sync_gap", std::to_string(r.total_sync_gap), false);
-  append_kv(out, "max_sync_gap", std::to_string(r.max_sync_gap), false);
-  append_kv(out, "max_rounds", std::to_string(r.max_rounds), false);
-  append_kv(out, "wall_seconds", render_double(r.wall_seconds), false);
-  append_kv(out, "protocol_name", r.protocol_name, true);
-  append_kv(out, "deviation_name", r.deviation_name, true);
-  append_kv(out, "recorded", r.outcomes_recorded ? "true" : "false", false);
-  if (r.outcomes_recorded) append_kv(out, "per_trial", per_trial_list(r.per_trial), true);
-  append_kv(out, "transcripts_recorded", r.transcripts_recorded ? "true" : "false", false);
-  if (r.transcripts_recorded) {
-    std::string blobs;
-    std::string keys;
-    transcript_columns(r.per_trial_transcript, blobs, keys);
-    append_kv(out, "transcripts", blobs, true);
-    append_kv(out, "store_keys", keys, true);
+void append_shard_row(std::string& out, std::size_t case_index, std::string_view spec_line,
+                      const ScenarioResult& r, double wall_seconds) {
+  RowWriter row(out);
+  row.number("case", case_index);
+  row.text("spec", spec_line);
+  row.number("n", r.outcomes.domain());
+  row.number("trials", r.trials);
+  row.number("trial_offset", r.trial_offset);
+  row.number("spec_trials", r.spec_trials);
+  row.number("base_seed", r.base_seed);
+  row.number("fails", r.outcomes.fails());
+  append_counts(row.open_quoted("counts"), r.outcomes);
+  row.close_quoted();
+  row.number("total_messages", r.total_messages);
+  row.number("max_messages", r.max_messages);
+  row.number("total_sync_gap", r.total_sync_gap);
+  row.number("max_sync_gap", r.max_sync_gap);
+  row.number("max_rounds", r.max_rounds);
+  row.raw("wall_seconds", render_double(wall_seconds));
+  row.text("protocol_name", r.protocol_name);
+  row.text("deviation_name", r.deviation_name);
+  row.raw("recorded", r.outcomes_recorded ? "true" : "false");
+  if (r.outcomes_recorded) {
+    append_per_trial(row.open_quoted("per_trial"), r.per_trial);
+    row.close_quoted();
   }
-  out += '}';
+  row.raw("transcripts_recorded", r.transcripts_recorded ? "true" : "false");
+  if (r.transcripts_recorded) append_transcript_columns(row, r.per_trial_transcript);
+  row.finish();
+}
+
+std::string format_shard_row(const ShardRow& row) {
+  std::string out;
+  append_shard_row(out, row.case_index, row.spec_line, row.result, row.result.wall_seconds);
   return out;
 }
 
@@ -375,7 +448,7 @@ ShardRow parse_shard_row(const std::string& line) {
   // Parse and cross-check the outcome histogram BEFORE sizing anything by
   // n or replaying it into the counter: a corrupt cell must fail the parse,
   // not allocate n counters or spin the replay loop for 2^64 iterations.
-  const std::string& counts = json.str("counts");
+  const std::string_view counts = json.str("counts");
   std::vector<std::uint64_t> cells;
   std::uint64_t counted = 0;
   for_each_cell(counts, [&](std::size_t index, std::string_view cell) {
@@ -440,7 +513,7 @@ ShardRow parse_shard_row(const std::string& line) {
     // Every cell is F or a leader id in [0, n), and the per-trial outcomes
     // must tally to exactly the counts above (and so, with the trial count
     // fixed, to fails): the two columns describe the same trials.
-    const std::string& list = json.str("per_trial");
+    const std::string_view list = json.str("per_trial");
     std::vector<std::uint64_t> tally(cells.size(), 0);
     result.per_trial.reserve(std::min<std::size_t>(cell_count(list), trials));
     for_each_cell(list, [&](std::size_t index, std::string_view cell) {
@@ -482,7 +555,7 @@ ShardRow parse_shard_row(const std::string& line) {
   result.transcripts_recorded =
       json.has("transcripts_recorded") && json.boolean("transcripts_recorded");
   if (result.transcripts_recorded) {
-    const std::string& list = json.str("transcripts");
+    const std::string_view list = json.str("transcripts");
     std::vector<std::uint8_t> bytes;
     result.per_trial_transcript.reserve(std::min<std::size_t>(cell_count(list), trials));
     for_each_cell(list, [&](std::size_t index, std::string_view blob) {
@@ -501,15 +574,17 @@ ShardRow parse_shard_row(const std::string& line) {
     // The store-key column is derived data; when present it must agree
     // with the blobs it annotates, or the row was stitched from two
     // different captures.  This is the integrity check on every transcript
-    // a fabric worker ships.
+    // a fabric worker ships.  Each decoded transcript already holds its
+    // canonical bytes, so each is hashed exactly once here and keeps the
+    // verified key for the report and the store.
     if (json.has("store_keys")) {
-      const std::string& keys = json.str("store_keys");
+      const std::string_view keys = json.str("store_keys");
       const std::size_t recorded = result.per_trial_transcript.size();
       for_each_cell(keys, [&](std::size_t trial, std::string_view key) {
         if (trial >= recorded) {
           throw std::invalid_argument("shard row: more store_keys than transcripts");
         }
-        const Digest256 expected = result.per_trial_transcript[trial].content_key();
+        const Digest256& expected = result.per_trial_transcript[trial].cache_content_key();
         if (Digest256::from_hex(key) != expected) {
           throw std::invalid_argument("shard row: store_keys[" + std::to_string(trial) +
                                       "] = '" + std::string(key) +
@@ -556,7 +631,7 @@ std::map<std::size_t, MergedCase> merge_shard_rows(std::vector<ShardRow> rows) {
     }
     MergedCase out;
     out.spec_line = group.front().spec_line;
-    out.result = group.front().result;
+    out.result = std::move(group.front().result);
     for (std::size_t i = 1; i < group.size(); ++i) {
       // Diagnose window tiling faults by name before the generic merge
       // contiguity check: the likely operator errors are feeding the same
@@ -574,7 +649,7 @@ std::map<std::size_t, MergedCase> merge_shard_rows(std::vector<ShardRow> rows) {
             std::to_string(expected) + ", " + std::to_string(offset) +
             ") (missing shard file?)");
       }
-      out.result.merge(group[i].result);  // enforces compatibility + contiguity
+      out.result.merge(std::move(group[i].result));  // enforces compatibility + contiguity
     }
     if (out.result.trial_offset != 0 || out.result.trials != out.result.spec_trials) {
       throw std::invalid_argument(

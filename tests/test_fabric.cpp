@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <chrono>
+#include <cstdio>
 #include <exception>
 #include <limits>
 #include <optional>
@@ -140,6 +141,24 @@ TEST(FabricWire, MalformedFramesThrow) {
   leb128_put(bad_string, 200);  // claims a 200-byte message in a 3-byte payload
   bad_string.push_back('x');
   EXPECT_THROW(try_parse_frame(bad_string), std::invalid_argument);
+}
+
+TEST(FabricWire, OverlongLengthPrefixIsRejected) {
+  // A heartbeat whose one-byte length prefix is rewritten as two bytes
+  // (L|0x80, 0x00): same value, non-canonical encoding.
+  const std::vector<std::uint8_t> frame = encode_frame(Heartbeat{5});
+  ASSERT_LT(frame[0], 0x80);
+  std::vector<std::uint8_t> overlong = {static_cast<std::uint8_t>(frame[0] | 0x80), 0x00};
+  overlong.insert(overlong.end(), frame.begin() + 1, frame.end());
+  try {
+    (void)try_parse_frame(overlong);
+    ADD_FAILURE() << "an overlong length prefix parsed";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("leb128: overlong varint"), std::string::npos)
+        << error.what();
+  }
+  // The canonical frame still parses.
+  ASSERT_TRUE(try_parse_frame(frame).has_value());
 }
 
 TEST(FabricWire, DigestsAreStableAndOrderSensitive) {
@@ -342,6 +361,25 @@ TEST(ShardHardening, StoreKeysValidateAgainstTheTranscripts) {
   const std::size_t pos = corrupted.find("\"store_keys\": \"") + 15;
   corrupted[pos] = corrupted[pos] == '0' ? '1' : '0';
   expect_parse_error(corrupted, "store_keys[0]");
+}
+
+TEST(ShardHardening, OverlongTranscriptVarintIsRejected) {
+  const std::string line = verify::format_shard_row(recorded_row());
+  const std::size_t start = line.find("\"transcripts\": \"") + 16;
+  ASSERT_NE(start, std::string::npos + 16);
+  // Byte 4 of a FLET blob is its event-count varint; the recorded trial has
+  // fewer than 128 events, so the count is one byte.  Rewrite it as the
+  // two-byte overlong form: the blob then decodes to the same events under
+  // a different byte string, which must not pass for the key of either.
+  const std::size_t count_hex = start + 8;
+  const int count = std::stoi(line.substr(count_hex, 2), nullptr, 16);
+  ASSERT_LT(count, 0x80);
+  char overlong[5];
+  std::snprintf(overlong, sizeof(overlong), "%02x00", count | 0x80);
+  std::string corrupted = line;
+  corrupted.replace(count_hex, 2, overlong);
+  expect_parse_error(corrupted, "transcripts[0]");
+  expect_parse_error(corrupted, "leb128: overlong varint");
 }
 
 /// A canonical 3-trial row with n = 4, counts 0,1,1,1 and per-trial

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/parallel.h"
@@ -182,6 +183,28 @@ TEST(RunScenario, ThreadedTopologyMatchesDeterministicEngine) {
   ASSERT_EQ(a.per_trial.size(), b.per_trial.size());
   for (std::size_t t = 0; t < a.per_trial.size(); ++t) {
     EXPECT_EQ(a.per_trial[t], b.per_trial[t]) << "trial " << t;
+  }
+}
+
+TEST(RunScenario, XorLastMoverRequiresAGameTreeProtocol) {
+  // Wait-then-choose is an argument about the alternating-XOR tree; on the
+  // full-information games it is refused, like every other gated pairing.
+  for (const char* protocol : {"baton", "majority-coin"}) {
+    ScenarioSpec spec;
+    spec.topology = TopologyKind::kFullInfo;
+    spec.protocol = protocol;
+    spec.deviation = "xor-last-mover";
+    spec.rounds = 4;
+    spec.target = 1;
+    spec.n = 8;
+    spec.trials = 4;
+    try {
+      (void)run_scenario(spec);
+      ADD_FAILURE() << protocol << " + xor-last-mover ran";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("requires protocol"), std::string::npos)
+          << error.what();
+    }
   }
 }
 

@@ -104,6 +104,148 @@ TEST(Transcript, DecodeRejectsMalformedBuffers) {
   EXPECT_THROW(ExecutionTranscript(TranscriptMode::kDigest).encode(), std::logic_error);
 }
 
+TEST(Transcript, DecodeRejectsOverlongVarints) {
+  // "FLET", count 1, a delivery whose step field 0 is written as 80 00
+  // (two bytes for a value whose encoding is the single byte 00).
+  const std::vector<std::uint8_t> overlong = {'F', 'L', 'E', 'T', 0x01, 0x00,
+                                              0x80, 0x00, 0x00, 0x00};
+  try {
+    (void)ExecutionTranscript::decode(overlong);
+    ADD_FAILURE() << "an overlong varint decoded";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("leb128: overlong varint"), std::string::npos)
+        << error.what();
+  }
+  // An overlong event count is refused the same way.
+  const std::vector<std::uint8_t> overlong_count = {'F', 'L', 'E', 'T', 0x80, 0x00};
+  EXPECT_THROW((void)ExecutionTranscript::decode(overlong_count), std::invalid_argument);
+  // The primitive: a lone 00 is zero, a zero final byte after a
+  // continuation byte is refused, and every canonical encoding round-trips.
+  std::size_t index = 0;
+  EXPECT_EQ(leb128_get(std::vector<std::uint8_t>{0x00}, index), 0u);
+  for (const std::vector<std::uint8_t>& bytes :
+       {std::vector<std::uint8_t>{0x80, 0x00}, std::vector<std::uint8_t>{0xff, 0x80, 0x00}}) {
+    index = 0;
+    EXPECT_THROW((void)leb128_get(bytes, index), std::invalid_argument);
+  }
+  for (const std::uint64_t value : {0ull, 127ull, 128ull, 1ull << 35, ~0ull}) {
+    std::vector<std::uint8_t> bytes;
+    leb128_put(bytes, value);
+    index = 0;
+    EXPECT_EQ(leb128_get(bytes, index), value);
+    EXPECT_EQ(index, bytes.size());
+  }
+}
+
+// ---- the encoding cache -----------------------------------------------------
+
+ExecutionTranscript sample_transcript() {
+  ExecutionTranscript t;
+  t.delivery(0, 1, 300);
+  t.turn(1, 0, 1);
+  t.decision(2, false, 7);
+  return t;
+}
+
+/// The same events recorded into a fresh transcript, which has no cache.
+ExecutionTranscript rerecorded(const ExecutionTranscript& t) {
+  ExecutionTranscript fresh;
+  for (const TranscriptEvent& e : t.events()) fresh.record(e.kind, e.a, e.b, e.c);
+  return fresh;
+}
+
+std::vector<std::uint8_t> bytes_of(std::span<const std::uint8_t> bytes) {
+  return {bytes.begin(), bytes.end()};
+}
+
+TEST(TranscriptCache, RecordingAfterTheKeyWasReadChangesKeyAndBytes) {
+  ExecutionTranscript t = sample_transcript();
+  EXPECT_TRUE(t.cached_bytes().empty());
+  EXPECT_FALSE(t.cached_key().has_value());
+  const Digest256 key = t.cache_content_key();
+  const std::vector<std::uint8_t> bytes = bytes_of(t.cached_bytes());
+  EXPECT_EQ(bytes, t.encode());
+  EXPECT_EQ(key, Sha256::of(bytes));
+  EXPECT_EQ(t.content_key(), key);
+
+  t.delivery(3, 2, 9);
+  EXPECT_TRUE(t.cached_bytes().empty());
+  EXPECT_FALSE(t.cached_key().has_value());
+  EXPECT_NE(t.encode(), bytes);
+  EXPECT_NE(t.content_key(), key);
+  EXPECT_EQ(t.content_key(), Sha256::of(t.encode()));
+  EXPECT_EQ(t.cache_content_key(), rerecorded(t).content_key());
+}
+
+TEST(TranscriptCache, ClearDropsBytesAndKey) {
+  ExecutionTranscript t = sample_transcript();
+  (void)t.cache_content_key();
+  ASSERT_FALSE(t.cached_bytes().empty());
+  t.clear();
+  EXPECT_TRUE(t.cached_bytes().empty());
+  EXPECT_FALSE(t.cached_key().has_value());
+  EXPECT_EQ(t.content_key(), ExecutionTranscript().content_key());
+}
+
+TEST(TranscriptCache, DecodeKeepsItsInputAsTheCanonicalBytes) {
+  ExecutionTranscript source;
+  source.delivery(1u << 20, 97, ~0ull);  // multi-byte varints
+  source.phase(4, 12);
+  source.decision(5, true, 0);
+  const std::vector<std::uint8_t> bytes = source.encode();
+  const ExecutionTranscript decoded = ExecutionTranscript::decode(bytes);
+  EXPECT_EQ(bytes_of(decoded.cached_bytes()), bytes);
+  EXPECT_FALSE(decoded.cached_key().has_value());
+  // The cache is exactly what encoding the decoded events writes.
+  const ExecutionTranscript fresh = rerecorded(decoded);
+  ASSERT_TRUE(fresh.cached_bytes().empty());
+  EXPECT_EQ(bytes_of(decoded.cached_bytes()), fresh.encode());
+  EXPECT_EQ(decoded.content_key(), fresh.content_key());
+}
+
+TEST(TranscriptCache, CopiesAndMovesKeepAValidCache) {
+  ExecutionTranscript t = sample_transcript();
+  const Digest256 key = t.cache_content_key();
+  const ExecutionTranscript copy = t;
+  EXPECT_EQ(copy.cached_key(), key);
+  EXPECT_EQ(bytes_of(copy.cached_bytes()), bytes_of(t.cached_bytes()));
+  ExecutionTranscript moved = std::move(t);
+  EXPECT_EQ(moved.cached_key(), key);
+  EXPECT_EQ(bytes_of(moved.cached_bytes()), rerecorded(copy).encode());
+  ExecutionTranscript assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.cached_key(), key);
+  EXPECT_EQ(Sha256::of(assigned.cached_bytes()), key);
+  // Moved into a container, as ScenarioResult::merge does.
+  std::vector<ExecutionTranscript> slots;
+  slots.push_back(std::move(assigned));
+  slots.resize(64);  // reallocates, moving the element
+  EXPECT_EQ(slots.front().cached_key(), key);
+  EXPECT_EQ(Sha256::of(slots.front().cached_bytes()), key);
+}
+
+TEST(TranscriptCache, EqualityIgnoresTheCache) {
+  ExecutionTranscript cached = sample_transcript();
+  (void)cached.cache_content_key();
+  const ExecutionTranscript plain = sample_transcript();
+  EXPECT_TRUE(cached == plain);
+  EXPECT_TRUE(ExecutionTranscript::decode(plain.encode()) == plain);
+  ExecutionTranscript digest(TranscriptMode::kDigest);
+  for (const TranscriptEvent& e : plain.events()) digest.record(e.kind, e.a, e.b, e.c);
+  EXPECT_TRUE(cached == digest);
+}
+
+TEST(TranscriptCache, DigestModeStillRefusesToEncode) {
+  ExecutionTranscript t(TranscriptMode::kDigest);
+  t.delivery(1, 2, 3);
+  std::vector<std::uint8_t> scratch;
+  EXPECT_THROW((void)t.encode(), std::logic_error);
+  EXPECT_THROW((void)t.encode_into(scratch), std::logic_error);
+  EXPECT_THROW((void)t.content_key(), std::logic_error);
+  EXPECT_THROW((void)t.cache_content_key(), std::logic_error);
+  EXPECT_TRUE(t.cached_bytes().empty());
+}
+
 TEST(Transcript, DigestMatchesTheTraceDigestConsumer) {
   // TraceDigest is a thin consumer of the same stream: an engine-attached
   // transcript and the observer-driven digest must fingerprint a delivery
@@ -430,6 +572,37 @@ TEST(TranscriptShard, RowsCarryTranscriptsThroughTheJsonlBoundary) {
   for (std::size_t t = 0; t < 5; ++t) {
     EXPECT_TRUE(parsed.result.per_trial_transcript[t] ==
                 row.result.per_trial_transcript[t]);
+  }
+}
+
+TEST(TranscriptCache, ParsedRowsCarryVerifiedKeysThatSurviveTheMerge) {
+  ScenarioSpec spec = family_spec(TopologyKind::kRing, "alead-uni", 6);
+  spec.trials = 6;
+  std::vector<verify::ShardRow> rows;
+  for (std::size_t first = 0; first < 6; first += 3) {
+    ScenarioSpec window = spec;
+    window.trial_offset = first;
+    window.trial_count = 3;
+    verify::ShardRow row;
+    row.spec_line = "cached keys";
+    row.result = run_scenario(window);
+    rows.push_back(verify::parse_shard_row(verify::format_shard_row(row)));
+  }
+  for (const verify::ShardRow& row : rows) {
+    for (const ExecutionTranscript& t : row.result.per_trial_transcript) {
+      ASSERT_TRUE(t.cached_key().has_value());
+      EXPECT_EQ(*t.cached_key(), rerecorded(t).content_key());
+    }
+  }
+  const auto merged = verify::merge_shard_rows(std::move(rows));
+  const ScenarioResult monolithic = run_scenario(spec);
+  const ScenarioResult& result = merged.at(0).result;
+  ASSERT_EQ(result.per_trial_transcript.size(), 6u);
+  for (std::size_t t = 0; t < 6; ++t) {
+    const ExecutionTranscript& transcript = result.per_trial_transcript[t];
+    ASSERT_TRUE(transcript.cached_key().has_value());
+    EXPECT_EQ(*transcript.cached_key(), monolithic.per_trial_transcript[t].content_key());
+    EXPECT_TRUE(transcript == monolithic.per_trial_transcript[t]);
   }
 }
 
