@@ -3,10 +3,10 @@
 // end-to-end run_scenario throughput.  These are sanity-of-substrate
 // numbers, not paper claims.
 //
-// The *_ConstructEach / *_Reused pairs measure the PR-2 zero-allocation
-// execution model: ConstructEach builds a fresh engine and heap-allocated
-// strategy vector per trial (the pre-reuse behaviour); Reused rearms one
-// engine with reset() and rebuilds strategies in a StrategyArena.  The
+// The *_ConstructEach / *_Reused pairs measure the zero-allocation
+// execution model: ConstructEach builds a fresh engine and a fresh
+// StrategyArena (so fresh arena chunks) per trial; Reused rearms one engine
+// with reset() and rebuilds strategies in one rewound StrategyArena.  The
 // allocations_per_trial counter (counting operator new shim below) is the
 // steady-state allocation count of the measured loop — 0 on the reused
 // ring path.
@@ -164,7 +164,7 @@ BENCHMARK(BM_EnginePhaseAsyncLead)->Arg(32)->Arg(128)->Arg(512);
 
 // ---- construction vs reuse: the zero-allocation execution model ----------
 
-/// Pre-PR trial body: fresh engine, make_unique'd strategy vector.
+/// Fresh-everything trial body: a new engine and a new arena per trial.
 void BM_RingTrialConstructEach(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   BasicLeadProtocol protocol;
@@ -175,16 +175,17 @@ void BM_RingTrialConstructEach(benchmark::State& state) {
     EngineOptions options;
     options.step_limit = step_limit;
     RingEngine engine(n, ++seed, std::move(options));
-    std::vector<std::unique_ptr<RingStrategy>> strategies;
-    strategies.reserve(static_cast<std::size_t>(n));
-    for (ProcessorId p = 0; p < n; ++p) strategies.push_back(protocol.make_strategy(p, n));
-    benchmark::DoNotOptimize(engine.run(std::move(strategies)));
+    StrategyArena arena;
+    std::vector<RingStrategy*> profile;
+    profile.reserve(static_cast<std::size_t>(n));
+    for (ProcessorId p = 0; p < n; ++p) profile.push_back(protocol.emplace_strategy(arena, p, n));
+    benchmark::DoNotOptimize(engine.run(std::span<RingStrategy* const>(profile)));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RingTrialConstructEach)->Arg(32)->Arg(128);
 
-/// PR-2 trial body: one engine reset per trial, strategies in an arena.
+/// Reused trial body: one engine reset per trial, strategies in a rewound arena.
 void BM_RingTrialReused(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   BasicLeadProtocol protocol;

@@ -584,17 +584,20 @@ void fill_ring_job(ScenarioJob& job, RingTrialFactories factories) {
   require_rng_supported(spec);
   ScenarioJob* j = &job;
   if (spec.topology == TopologyKind::kThreaded) {
-    // One OS thread per processor: the runtime's whole point is fresh
-    // threads, so there is nothing to reuse.
+    // One OS thread per processor, each with its own arena (an arena is
+    // single-threaded): the runtime's whole point is fresh threads, so there
+    // is nothing to reuse.
     fill_factory_job(job, std::move(factories),
                      [j](std::size_t, std::uint64_t seed, void*, const RingProtocol& protocol,
                          const Deviation* deviation) {
                        ThreadedRuntimeOptions options;
                        options.send_limit = scenario_ring_step_limit(j->spec, protocol);
                        ThreadedRuntime runtime(j->spec.n, seed, options);
+                       std::vector<StrategyArena> arenas(static_cast<std::size_t>(j->spec.n));
+                       std::vector<RingStrategy*> profile;
+                       compose_profile_into(protocol, deviation, j->spec.n, arenas, profile);
                        TrialStats stats;
-                       stats.outcome =
-                           runtime.run(compose_strategies(protocol, deviation, j->spec.n));
+                       stats.outcome = runtime.run(profile);
                        stats.messages = runtime.stats().total_sent;
                        return stats;
                      });

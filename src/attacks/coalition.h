@@ -13,6 +13,8 @@
 //                       profile with sum l_i = n-k
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -74,44 +76,43 @@ class Coalition {
   std::vector<char> is_member_;
 };
 
-/// Builds the strategy vector of the deviated profile (P_{V-C}, P'_C) for
-/// any runtime family: honest strategies from `protocol` everywhere except
-/// coalition members, which get `deviation`'s adversaries.  Works for every
-/// (protocol, deviation) pair exposing make_strategy / make_adversary /
-/// coalition(); the ring, graph, and sync compose_* helpers all delegate
-/// here.  Pass deviation == nullptr for the honest profile.
-template <typename Protocol, typename Deviation>
-auto compose_profile(const Protocol& protocol, const Deviation* deviation, int n)
-    -> std::vector<decltype(protocol.make_strategy(ProcessorId{0}, n))> {
-  std::vector<decltype(protocol.make_strategy(ProcessorId{0}, n))> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (ProcessorId p = 0; p < n; ++p) {
-    if (deviation != nullptr && deviation->coalition().contains(p)) {
-      out.push_back(deviation->make_adversary(p, n));
-    } else {
-      out.push_back(protocol.make_strategy(p, n));
-    }
-  }
-  return out;
-}
-
-/// Arena flavour of compose_profile: strategies are emplaced into `arena`
-/// (via the protocols' emplace_strategy / emplace_adversary hooks) and the
-/// non-owning profile is written into `out`, whose capacity is reused across
-/// trials.  The caller owns the rewind cadence: rewind the arena before each
-/// compose, and keep the arena alive for as long as the profile runs.
+/// Builds the deviated profile (P_{V-C}, P'_C) for any runtime family:
+/// honest strategies from `protocol` everywhere except coalition members,
+/// which get `deviation`'s adversaries (pass deviation == nullptr for the
+/// honest profile).  Every strategy is emplaced through the
+/// emplace_strategy / emplace_adversary factories, processor p's into
+/// `arenas[p]` — or every processor's into `arenas[0]` when the span holds
+/// a single arena — and the non-owning profile is written into `out`, whose
+/// capacity is reused across trials.  The caller owns the rewind cadence:
+/// rewind the arenas before each compose, and keep them alive for as long
+/// as the profile runs.
+///
+/// One arena per processor is for runtimes that run every processor on its
+/// own thread (ThreadedRuntime): an arena is single-threaded, and a
+/// strategy may emplace into its arena mid-run.
 template <typename Protocol, typename Deviation, typename Strategy>
 void compose_profile_into(const Protocol& protocol, const Deviation* deviation, int n,
-                          StrategyArena& arena, std::vector<Strategy*>& out) {
+                          std::span<StrategyArena> arenas, std::vector<Strategy*>& out) {
+  if (arenas.size() != 1 && arenas.size() != static_cast<std::size_t>(n)) {
+    throw std::invalid_argument("compose_profile_into needs one arena or one per processor");
+  }
   out.clear();
   out.reserve(static_cast<std::size_t>(n));
   for (ProcessorId p = 0; p < n; ++p) {
+    StrategyArena& arena = arenas[arenas.size() == 1 ? 0 : static_cast<std::size_t>(p)];
     if (deviation != nullptr && deviation->coalition().contains(p)) {
       out.push_back(deviation->emplace_adversary(arena, p, n));
     } else {
       out.push_back(protocol.emplace_strategy(arena, p, n));
     }
   }
+}
+
+/// Every processor's strategy in the one `arena` (single-threaded runtimes).
+template <typename Protocol, typename Deviation, typename Strategy>
+void compose_profile_into(const Protocol& protocol, const Deviation* deviation, int n,
+                          StrategyArena& arena, std::vector<Strategy*>& out) {
+  compose_profile_into(protocol, deviation, n, std::span<StrategyArena>(&arena, 1), out);
 }
 
 }  // namespace fle

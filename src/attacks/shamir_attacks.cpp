@@ -274,12 +274,6 @@ ShamirRushingDeviation::ShamirRushingDeviation(Coalition coalition, Value target
   }
 }
 
-std::unique_ptr<GraphStrategy> ShamirRushingDeviation::make_adversary(ProcessorId id,
-                                                                      int n) const {
-  return std::make_unique<ArenaOwnedStrategy>(
-      [&](StrategyArena& arena) { return emplace_adversary(arena, id, n); });
-}
-
 GraphStrategy* ShamirRushingDeviation::emplace_adversary(StrategyArena& arena, ProcessorId id,
                                                          int /*n*/) const {
   if (!coalition_.contains(id)) throw std::invalid_argument("not a coalition member");
@@ -295,12 +289,6 @@ ShamirForgeDeviation::ShamirForgeDeviation(Coalition coalition, Value target,
   if (target_ >= static_cast<Value>(lagrange_.n())) {
     throw std::invalid_argument("target out of range");
   }
-}
-
-std::unique_ptr<GraphStrategy> ShamirForgeDeviation::make_adversary(ProcessorId id,
-                                                                    int n) const {
-  return std::make_unique<ArenaOwnedStrategy>(
-      [&](StrategyArena& arena) { return emplace_adversary(arena, id, n); });
 }
 
 GraphStrategy* ShamirForgeDeviation::emplace_adversary(StrategyArena& arena, ProcessorId id,

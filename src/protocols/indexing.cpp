@@ -14,8 +14,8 @@ namespace {
 /// processor forwards it before initializing its inner strategy.
 class IndexingStrategy final : public RingStrategy {
  public:
-  IndexingStrategy(const RingProtocol& inner, bool is_origin)
-      : inner_protocol_(inner), is_origin_(is_origin) {}
+  IndexingStrategy(const RingProtocol& inner, StrategyArena& arena, bool is_origin)
+      : inner_protocol_(inner), arena_(arena), is_origin_(is_origin) {}
 
   void on_init(RingContext& ctx) override {
     if (is_origin_) {
@@ -42,28 +42,24 @@ class IndexingStrategy final : public RingStrategy {
 
  private:
   void start_inner(RingContext& ctx, int index) {
-    inner_ = inner_protocol_.make_strategy(index, ctx.ring_size());
+    inner_ = inner_protocol_.emplace_strategy(arena_, index, ctx.ring_size());
     inner_->on_init(ctx);
   }
 
   const RingProtocol& inner_protocol_;
+  StrategyArena& arena_;  ///< the arena this strategy was emplaced in
   bool is_origin_;
   bool counter_done_ = false;
-  std::unique_ptr<RingStrategy> inner_;
+  RingStrategy* inner_ = nullptr;
 };
 
 }  // namespace
 
-std::unique_ptr<RingStrategy> IndexingProtocol::make_strategy(ProcessorId id,
-                                                              int /*n*/) const {
-  return std::make_unique<IndexingStrategy>(*inner_, id == 0);
-}
-
 RingStrategy* IndexingProtocol::emplace_strategy(StrategyArena& arena, ProcessorId id,
                                                  int /*n*/) const {
-  // The wrapper lives in the arena; the inner strategy is built mid-run
-  // (once the index is learned) and stays uniquely owned.
-  return arena.emplace<IndexingStrategy>(*inner_, id == 0);
+  // The inner strategy is built mid-run (once the index is learned) in the
+  // same arena; that is why a threaded runtime gives each processor its own.
+  return arena.emplace<IndexingStrategy>(*inner_, arena, id == 0);
 }
 
 }  // namespace fle

@@ -5,12 +5,6 @@
 
 namespace fle {
 
-std::unique_ptr<GraphStrategy> ShamirLeadProtocol::make_strategy(ProcessorId id,
-                                                                 int n) const {
-  return std::make_unique<ArenaOwnedStrategy>(
-      [&](StrategyArena& arena) { return emplace_strategy(arena, id, n); });
-}
-
 GraphStrategy* ShamirLeadProtocol::emplace_strategy(StrategyArena& arena, ProcessorId id,
                                                     int n) const {
   if (n != params_.n) throw std::invalid_argument("network size mismatch");

@@ -55,7 +55,6 @@ class ShamirLeadProtocol final : public GraphProtocol {
   explicit ShamirLeadProtocol(ShamirParams params)
       : params_(params), lagrange_(params.t, params.n) {}
 
-  std::unique_ptr<GraphStrategy> make_strategy(ProcessorId id, int n) const override;
   GraphStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "Shamir-LEAD (fully connected)"; }
   std::uint64_t honest_message_bound(int n) const override {

@@ -13,10 +13,15 @@
 // same chunks and released by the same rewind, so that state stops costing
 // an allocation per trial too.
 //
-// Factories that have not been migrated to emplace() can hand ownership of a
-// conventionally heap-allocated object to the arena via adopt(); rewind()
-// then deletes it.  This keeps the one compose path working for every
-// protocol while the built-ins are migrated one by one.
+// emplace() is the only way a strategy is built: every protocol and
+// deviation factory (emplace_strategy / emplace_adversary) constructs into
+// an arena, and a wrapping strategy emplaces the strategy it wraps into the
+// same arena and keeps a raw pointer to it.
+//
+// An arena is single-threaded.  A strategy may keep emplacing into the
+// arena it was built in while it runs (IndexingStrategy builds its inner
+// strategy once it learns its position), so a runtime that runs processors
+// on separate threads (ThreadedRuntime) needs one arena per processor.
 
 #include <cstddef>
 #include <cstdint>
@@ -62,15 +67,6 @@ class StrategyArena {
     T* first = static_cast<T*>(allocate(sizeof(T) * count, alignof(T)));
     std::uninitialized_value_construct_n(first, count);
     return {first, count};
-  }
-
-  /// Takes ownership of a heap-allocated object; deleted at the next
-  /// rewind().  Fallback for factories without an emplace overload.
-  template <typename T>
-  T* adopt(std::unique_ptr<T> owned) {
-    T* object = owned.release();
-    finalizers_.push_back({object, [](void* p) { delete static_cast<T*>(p); }});
-    return object;
   }
 
   /// Destroys every object (reverse construction order) and resets the bump

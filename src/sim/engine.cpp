@@ -73,7 +73,6 @@ RingEngine::~RingEngine() = default;
 
 void RingEngine::reset(std::uint64_t trial_seed) {
   trial_seed_ = trial_seed;
-  owned_strategies_.clear();
   strategies_ = {};
   for (Context& context : contexts_) context.reseed(trial_seed);
   for (auto& box : inbox_) box.clear();
@@ -219,17 +218,6 @@ Outcome RingEngine::run(std::span<RingStrategy* const> strategies) {
 
   return aggregate_outcome(std::span<const std::optional<LocalOutput>>(outputs_),
                            static_cast<std::size_t>(n_));
-}
-
-Outcome RingEngine::run(std::vector<std::unique_ptr<RingStrategy>> strategies) {
-  if (!armed_) reset(trial_seed_);
-  owned_strategies_ = std::move(strategies);
-  std::vector<RingStrategy*> profile;
-  profile.reserve(owned_strategies_.size());
-  for (const auto& strategy : owned_strategies_) profile.push_back(strategy.get());
-  const Outcome outcome = run(std::span<RingStrategy* const>(profile));
-  strategies_ = {};  // the profile table dies with this call
-  return outcome;
 }
 
 Outcome run_honest(const RingProtocol& protocol, int n, std::uint64_t trial_seed,

@@ -91,10 +91,6 @@ class RingEngine {
   /// without an intervening reset() replays the constructor seed.
   Outcome run(std::span<RingStrategy* const> strategies);
 
-  /// Owning convenience overload: `strategies` must contain exactly n
-  /// entries; they are kept alive until the next reset() or destruction.
-  Outcome run(std::vector<std::unique_ptr<RingStrategy>> strategies);
-
   [[nodiscard]] const ExecutionStats& stats() const { return stats_; }
   /// Local outputs (nullopt = never terminated); valid after run().
   [[nodiscard]] const std::vector<std::optional<LocalOutput>>& outputs() const {
@@ -145,7 +141,6 @@ class RingEngine {
   std::vector<int> priority_;
 
   std::span<RingStrategy* const> strategies_;        ///< active profile
-  std::vector<std::unique_ptr<RingStrategy>> owned_strategies_;
   std::vector<Context> contexts_;                    ///< by value, reused
   std::vector<FlatQueue<Value>> inbox_;  ///< inbox_[p]: FIFO from pred(p)
   std::vector<std::optional<LocalOutput>> outputs_;

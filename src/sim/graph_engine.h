@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -62,35 +61,12 @@ class GraphStrategy {
   virtual void on_receive(GraphContext& ctx, ProcessorId from, GraphPayload m) = 0;
 };
 
-/// Owning adapter for a strategy built in a StrategyArena: it keeps a
-/// private arena, builds the strategy there with `emplace(arena)`, and
-/// forwards every callback.  Lets make_strategy serve protocols whose
-/// strategies take their state from the arena.
-class ArenaOwnedStrategy final : public GraphStrategy {
- public:
-  template <typename Emplace>
-  explicit ArenaOwnedStrategy(Emplace&& emplace) : inner_(emplace(arena_)) {}
-
-  void on_init(GraphContext& ctx) override { inner_->on_init(ctx); }
-  void on_receive(GraphContext& ctx, ProcessorId from, GraphPayload m) override {
-    inner_->on_receive(ctx, from, m);
-  }
-
- private:
-  StrategyArena arena_;
-  GraphStrategy* inner_;
-};
-
 class GraphProtocol {
  public:
   virtual ~GraphProtocol() = default;
-  [[nodiscard]] virtual std::unique_ptr<GraphStrategy> make_strategy(ProcessorId id,
-                                                                     int n) const = 0;
-  /// Arena-aware factory; see RingProtocol::emplace_strategy.
+  /// The one strategy factory; see RingProtocol::emplace_strategy.
   [[nodiscard]] virtual GraphStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id,
-                                                        int n) const {
-    return arena.adopt(make_strategy(id, n));
-  }
+                                                        int n) const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
   [[nodiscard]] virtual std::uint64_t honest_message_bound(int n) const {
     return 8ull * static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
@@ -134,7 +110,6 @@ class GraphEngine {
 
   /// Non-owning profile run; see RingEngine::run.
   Outcome run(std::span<GraphStrategy* const> strategies);
-  Outcome run(std::vector<std::unique_ptr<GraphStrategy>> strategies);
 
   [[nodiscard]] const GraphExecutionStats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<std::optional<LocalOutput>>& outputs() const {
@@ -182,7 +157,6 @@ class GraphEngine {
   ExecutionTranscript* transcript_ = nullptr;
 
   std::span<GraphStrategy* const> strategies_;
-  std::vector<std::unique_ptr<GraphStrategy>> owned_strategies_;
   std::vector<Context> contexts_;
   std::vector<FlatQueue<Slot>> links_;  ///< indexed by link_index
   std::vector<Value> slab_;      ///< every payload queued this trial

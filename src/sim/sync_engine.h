@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -75,13 +74,9 @@ class SyncStrategy {
 class SyncProtocol {
  public:
   virtual ~SyncProtocol() = default;
-  [[nodiscard]] virtual std::unique_ptr<SyncStrategy> make_strategy(ProcessorId id,
-                                                                    int n) const = 0;
-  /// Arena-aware factory; see RingProtocol::emplace_strategy.
+  /// The one strategy factory; see RingProtocol::emplace_strategy.
   [[nodiscard]] virtual SyncStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id,
-                                                       int n) const {
-    return arena.adopt(make_strategy(id, n));
-  }
+                                                       int n) const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
   [[nodiscard]] virtual int round_bound(int n) const { return 4 * n + 8; }
 };
@@ -110,7 +105,6 @@ class SyncEngine {
 
   /// Non-owning profile run; see RingEngine::run.
   Outcome run(std::span<SyncStrategy* const> strategies);
-  Outcome run(std::vector<std::unique_ptr<SyncStrategy>> strategies);
 
   [[nodiscard]] const SyncExecutionStats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<std::optional<LocalOutput>>& outputs() const {
@@ -148,7 +142,6 @@ class SyncEngine {
   ExecutionTranscript* transcript_ = nullptr;
 
   std::vector<Context> contexts_;
-  std::vector<std::unique_ptr<SyncStrategy>> owned_strategies_;
   std::vector<std::optional<LocalOutput>> outputs_;
   std::vector<bool> terminated_;
 

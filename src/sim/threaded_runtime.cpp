@@ -163,7 +163,7 @@ ThreadedRuntime::ThreadedRuntime(int n, std::uint64_t trial_seed,
 
 ThreadedRuntime::~ThreadedRuntime() = default;
 
-Outcome ThreadedRuntime::run(std::vector<std::unique_ptr<RingStrategy>> strategies) {
+Outcome ThreadedRuntime::run(std::span<RingStrategy* const> strategies) {
   if (static_cast<int>(strategies.size()) != n_) {
     throw std::invalid_argument("strategy count must equal ring size");
   }
@@ -174,7 +174,7 @@ Outcome ThreadedRuntime::run(std::vector<std::unique_ptr<RingStrategy>> strategi
     std::vector<std::jthread> threads;
     threads.reserve(static_cast<std::size_t>(n_));
     for (ProcessorId p = 0; p < n_; ++p) {
-      threads.emplace_back([this, p, strategy = strategies[static_cast<std::size_t>(p)].get()] {
+      threads.emplace_back([this, p, strategy = strategies[static_cast<std::size_t>(p)]] {
         ThreadContext ctx(*impl_, p, n_, trial_seed_, options_.send_limit,
                           outputs_[static_cast<std::size_t>(p)]);
         strategy->on_init(ctx);
@@ -242,10 +242,13 @@ Outcome run_honest_threaded(const RingProtocol& protocol, int n, std::uint64_t t
                             ThreadedRuntimeOptions options) {
   if (options.send_limit == 0) options.send_limit = protocol.honest_message_bound(n) * 2 + 1024;
   ThreadedRuntime runtime(n, trial_seed, options);
-  std::vector<std::unique_ptr<RingStrategy>> strategies;
+  std::vector<StrategyArena> arenas(static_cast<std::size_t>(n));  // one per thread
+  std::vector<RingStrategy*> strategies;
   strategies.reserve(static_cast<std::size_t>(n));
-  for (ProcessorId p = 0; p < n; ++p) strategies.push_back(protocol.make_strategy(p, n));
-  return runtime.run(std::move(strategies));
+  for (ProcessorId p = 0; p < n; ++p) {
+    strategies.push_back(protocol.emplace_strategy(arenas[static_cast<std::size_t>(p)], p, n));
+  }
+  return runtime.run(strategies);
 }
 
 }  // namespace fle

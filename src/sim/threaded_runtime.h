@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/types.h"
@@ -50,8 +51,11 @@ class ThreadedRuntime {
   ThreadedRuntime& operator=(const ThreadedRuntime&) = delete;
 
   /// Runs the strategies to completion (all terminated, quiescence, send
-  /// limit, or wall timeout) and aggregates the outcome.
-  Outcome run(std::vector<std::unique_ptr<RingStrategy>> strategies);
+  /// limit, or wall timeout) and aggregates the outcome.  Non-owning like
+  /// RingEngine::run; entry p runs on processor p's own thread, so the
+  /// caller builds each processor's strategy in an arena of its own
+  /// (compose_profile_into with one arena per processor).
+  Outcome run(std::span<RingStrategy* const> strategies);
 
   [[nodiscard]] const ThreadedRuntimeStats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<std::optional<LocalOutput>>& outputs() const {

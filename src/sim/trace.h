@@ -12,38 +12,8 @@
 
 #include "core/types.h"
 #include "sim/engine.h"
-#include "sim/transcript.h"
 
 namespace fle {
-
-/// Order-sensitive digest of a ring execution's delivery sequence.  Since
-/// the transcript refactor this is a thin consumer of the unified event
-/// stream (sim/transcript.h): it owns a kDigest-mode ExecutionTranscript
-/// and records one kDelivery event per delivery, so its value() is exactly
-/// the digest a full transcript of the same delivery stream would report.
-/// Two executions with equal digests made the same deliveries in the same
-/// order with the same payloads — the "exact trace equivalence" the
-/// differential conformance checks assert for deterministic schedulers.
-///
-/// Prefer RingEngine::set_transcript for new code; this observer form
-/// survives for call sites that also need the observer's sent-count side
-/// channel or predate the hook.
-class TraceDigest {
- public:
-  /// Observer to install in EngineOptions::observer.  The digest object
-  /// must outlive the engine run.
-  [[nodiscard]] DeliveryObserver observer();
-
-  [[nodiscard]] std::uint64_t value() const { return transcript_.digest(); }
-  [[nodiscard]] std::uint64_t deliveries() const { return transcript_.size(); }
-  /// The underlying stream (digest mode: events are folded, not stored).
-  [[nodiscard]] const ExecutionTranscript& transcript() const { return transcript_; }
-
-  void reset() { transcript_.clear(); }
-
- private:
-  ExecutionTranscript transcript_{TranscriptMode::kDigest};
-};
 
 /// SyncTrace stays on the observer interface by design: the gap series is a
 /// function of the per-processor *sent counters*, a side channel the

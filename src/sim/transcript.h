@@ -23,8 +23,8 @@
 // Modes: kFull stores the events (and can encode() them into a compact
 // varint binary form — the FLET bytes shard rows, fabric result frames and
 // the content-addressed store carry); kDigest keeps only a running FNV-1a
-// fold and the event count — the cheap fingerprint TraceDigest (sim/trace.h)
-// uses.  Both modes maintain the digest, so a kDigest transcript can always
+// fold and the event count — the cheap fingerprint the trace-determinism
+// check (verify/differential.cpp) compares between fresh and reused engines.  Both modes maintain the digest, so a kDigest transcript can always
 // be compared against a kFull one.
 //
 // Encoding cache: a kFull transcript can keep its canonical FLET bytes and

@@ -11,7 +11,6 @@
 #include "attacks/deviation.h"
 #include "fullinfo/turn_game.h"
 #include "sim/engine.h"
-#include "sim/trace.h"
 #include "sim/transcript.h"
 #include "verify/checks.h"
 
@@ -96,8 +95,15 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
   const DeviationEntry* deviation_entry =
       spec.deviation.empty() ? nullptr : &DeviationRegistry::instance().at(spec.deviation);
 
-  TraceDigest reused_digest;
+  // Fresh side: a new engine and a new arena per trial.  Reused side: one
+  // engine reset() per trial and one arena rewound per trial, so the check
+  // covers both kinds of reuse.  Each side records a digest-mode
+  // transcript (deliveries and decisions, folded).
+  ExecutionTranscript fresh_transcript(TranscriptMode::kDigest);
+  ExecutionTranscript reused_transcript(TranscriptMode::kDigest);
   std::unique_ptr<RingEngine> reused;
+  StrategyArena reused_arena;
+  std::vector<RingStrategy*> profile;
   std::size_t digest_mismatches = 0;
   std::size_t outcome_mismatches = 0;
 
@@ -106,36 +112,36 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
     const auto protocol = protocol_entry.make_ring(spec, trial_seed);
     std::unique_ptr<Deviation> deviation;
     if (deviation_entry) deviation = deviation_entry->make_ring(*protocol, spec);
-    const std::uint64_t step_limit = scenario_ring_step_limit(spec, *protocol);
+    const auto options = [&] {
+      EngineOptions o;
+      o.step_limit = scenario_ring_step_limit(spec, *protocol);
+      o.scheduler_kind = spec.scheduler;
+      o.rng = spec.rng;
+      return o;
+    };
 
-    TraceDigest fresh_digest;
-    EngineOptions fresh_options;
-    fresh_options.step_limit = step_limit;
-    fresh_options.scheduler_kind = spec.scheduler;
-    fresh_options.rng = spec.rng;
-    fresh_options.observer = fresh_digest.observer();
-    RingEngine fresh(spec.n, trial_seed, std::move(fresh_options));
-    const Outcome fresh_outcome =
-        fresh.run(compose_strategies(*protocol, deviation.get(), spec.n));
+    Outcome fresh_outcome = Outcome::fail();
+    {
+      StrategyArena fresh_arena;
+      RingEngine fresh(spec.n, trial_seed, options());
+      fresh_transcript.clear();
+      fresh.set_transcript(&fresh_transcript);
+      compose_profile_into(*protocol, deviation.get(), spec.n, fresh_arena, profile);
+      fresh_outcome = fresh.run(profile);
+    }
 
     if (!reused) {
-      EngineOptions reused_options;
-      reused_options.step_limit = step_limit;
-      reused_options.scheduler_kind = spec.scheduler;
-      reused_options.rng = spec.rng;
-      reused_options.observer = reused_digest.observer();
-      reused = std::make_unique<RingEngine>(spec.n, trial_seed, std::move(reused_options));
+      reused = std::make_unique<RingEngine>(spec.n, trial_seed, options());
+      reused->set_transcript(&reused_transcript);
     } else {
       reused->reset(trial_seed);
     }
-    reused_digest.reset();
-    const Outcome reused_outcome =
-        reused->run(compose_strategies(*protocol, deviation.get(), spec.n));
+    reused_transcript.clear();
+    compose_profile_into(*protocol, deviation.get(), spec.n, reused_arena, profile);
+    const Outcome reused_outcome = reused->run(profile);
+    reused_arena.rewind();  // before this trial's protocol and deviation die
 
-    digest_mismatches += fresh_digest.value() != reused_digest.value() ||
-                                 fresh_digest.deliveries() != reused_digest.deliveries()
-                             ? 1
-                             : 0;
+    digest_mismatches += fresh_transcript != reused_transcript ? 1 : 0;
     outcome_mismatches += fresh_outcome != reused_outcome ? 1 : 0;
   }
 
@@ -176,9 +182,12 @@ std::string redrive_ring_trial(const ScenarioSpec& spec, std::size_t trial,
   options.scheduler = replayer.ring_schedule();
   RingEngine engine(spec.n, trial_seed, std::move(options));
   engine.set_transcript(&replayed);
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  compose_profile_into(*protocol, deviation.get(), spec.n, arena, profile);
   Outcome outcome = Outcome::fail();
   try {
-    outcome = engine.run(compose_strategies(*protocol, deviation.get(), spec.n));
+    outcome = engine.run(profile);
   } catch (const std::runtime_error& error) {
     return "trial " + std::to_string(trial) + ": " + error.what();
   }

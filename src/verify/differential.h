@@ -15,9 +15,10 @@
 //    identical per-trial outcomes.
 //
 //  * check_trace_determinism — exact per-trial trace equivalence for the
-//    deterministic scheduler: a reused engine (reset(trial_seed), the
-//    DESIGN.md §4 fast path) must replay a freshly constructed engine's
-//    delivery sequence bit for bit (TraceDigest over every delivery).
+//    deterministic scheduler: a reused engine (reset(trial_seed)) composed
+//    into a rewound arena — the DESIGN.md §4 fast path — must replay a
+//    freshly constructed engine with a fresh arena bit for bit (a
+//    digest-mode transcript over every delivery and decision).
 //
 //  * check_transcript_replay — the record/replay differential every
 //    runtime gets (DESIGN.md §7), including the turn-game runtimes that

@@ -27,9 +27,10 @@ TEST(ALeadUni, HonestMessageCountIsNSquared) {
   ALeadUniProtocol protocol;
   for (int n : {2, 3, 4, 9, 17, 40}) {
     RingEngine engine(n, 123);
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    const Outcome o = engine.run(std::move(s));
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
+    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+    const Outcome o = engine.run(s);
     ASSERT_TRUE(o.valid()) << "n=" << n;
     EXPECT_EQ(engine.stats().total_sent,
               static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n));
@@ -54,9 +55,10 @@ TEST(ALeadUni, HonestExecutionIsOneSynchronized) {
   ALeadUniProtocol protocol;
   for (int n : {4, 16, 64}) {
     RingEngine engine(n, 321);
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    ASSERT_TRUE(engine.run(std::move(s)).valid());
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
+    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+    ASSERT_TRUE(engine.run(s).valid());
     EXPECT_LE(engine.stats().max_sync_gap, 1u) << "n=" << n;
   }
 }
@@ -119,15 +121,16 @@ TEST(ALeadUni, CorruptedForwardFails) {
   ALeadUniProtocol protocol;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     RingEngine engine(n, seed);
-    std::vector<std::unique_ptr<RingStrategy>> s;
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
     for (ProcessorId p = 0; p < n; ++p) {
       if (p == 4) {
-        s.push_back(std::make_unique<SwapFirstForwardStrategy>());
+        s.push_back(arena.emplace<SwapFirstForwardStrategy>());
       } else {
-        s.push_back(protocol.make_strategy(p, n));
+        s.push_back(protocol.emplace_strategy(arena, p, n));
       }
     }
-    EXPECT_TRUE(engine.run(std::move(s)).failed()) << "seed=" << seed;
+    EXPECT_TRUE(engine.run(s).failed()) << "seed=" << seed;
   }
 }
 

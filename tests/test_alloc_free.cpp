@@ -105,6 +105,42 @@ TEST(ZeroAllocation, AdversarialRingTrialSubstrateIsAllocationFree) {
   EXPECT_EQ(allocations() - before_honest, 0u);
 }
 
+TEST(ZeroAllocation, RegisteredTamperProfilesAreAllocationFree) {
+  // A tamper deviation wraps the protocol's honest strategy; the wrapped
+  // strategy is emplaced into the same arena as its wrapper, so a tampered
+  // trial on a reused engine with a warm arena allocates nothing.
+  register_builtin_scenarios();
+  const int n = 16;
+  RingEngine engine(n, 1);
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  for (const char* name :
+       {"tamper-flip", "tamper-drop", "tamper-duplicate", "tamper-extra-zero"}) {
+    ScenarioSpec spec;
+    spec.protocol = "basic-lead";
+    spec.deviation = name;
+    spec.coalition = CoalitionSpec::consecutive(1, 3);
+    spec.n = n;
+    const std::unique_ptr<RingProtocol> protocol =
+        ProtocolRegistry::instance().at(spec.protocol).make_ring(spec, spec.seed);
+    const std::unique_ptr<Deviation> deviation =
+        DeviationRegistry::instance().at(spec.deviation).make_ring(*protocol, spec);
+    const auto trial = [&](std::uint64_t seed) {
+      engine.reset(seed);
+      arena.rewind();
+      compose_profile_into(*protocol, deviation.get(), n, arena, profile);
+      return engine.run(std::span<RingStrategy* const>(profile));
+    };
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) (void)trial(seed);
+
+    const std::uint64_t before = allocations();
+    const Outcome outcome = trial(1234);
+    const std::uint64_t after = allocations();
+    EXPECT_EQ(after - before, 0u) << "steady-state tampered trial allocated (" << name << ")";
+    EXPECT_TRUE(outcome.failed()) << name;
+  }
+}
+
 TEST(ZeroAllocation, RunHonestFastPathIsAllocationFree) {
   const int n = 48;
   BasicLeadProtocol protocol;
@@ -193,9 +229,6 @@ class SyncEchoStrategy final : public SyncStrategy {
 
 class SyncEchoProtocol final : public SyncProtocol {
  public:
-  std::unique_ptr<SyncStrategy> make_strategy(ProcessorId, int) const override {
-    return std::make_unique<SyncEchoStrategy>();
-  }
   SyncStrategy* emplace_strategy(StrategyArena& arena, ProcessorId, int) const override {
     return arena.emplace<SyncEchoStrategy>();
   }

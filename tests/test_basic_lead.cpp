@@ -28,9 +28,10 @@ TEST(BasicLead, HonestMessageCountIsNSquared) {
   for (int n : {2, 3, 5, 8, 16, 33}) {
     EngineOptions options;
     RingEngine engine(n, 42, std::move(options));
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    const Outcome o = engine.run(std::move(s));
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
+    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+    const Outcome o = engine.run(s);
     ASSERT_TRUE(o.valid());
     EXPECT_EQ(engine.stats().total_sent,
               static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n));

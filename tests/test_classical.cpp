@@ -36,15 +36,17 @@ TEST(ChangRoberts, WorstCaseQuadraticBestCaseLinear) {
   ChangRobertsProtocol desc{descending}, asc{ascending};
 
   RingEngine e1(n, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s1;
-  for (ProcessorId p = 0; p < n; ++p) s1.push_back(desc.make_strategy(p, n));
-  ASSERT_TRUE(e1.run(std::move(s1)).valid());
+  StrategyArena arena1;
+  std::vector<RingStrategy*> s1;
+  for (ProcessorId p = 0; p < n; ++p) s1.push_back(desc.emplace_strategy(arena1, p, n));
+  ASSERT_TRUE(e1.run(s1).valid());
   const auto desc_msgs = e1.stats().total_sent;
 
   RingEngine e2(n, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s2;
-  for (ProcessorId p = 0; p < n; ++p) s2.push_back(asc.make_strategy(p, n));
-  ASSERT_TRUE(e2.run(std::move(s2)).valid());
+  StrategyArena arena2;
+  std::vector<RingStrategy*> s2;
+  for (ProcessorId p = 0; p < n; ++p) s2.push_back(asc.emplace_strategy(arena2, p, n));
+  ASSERT_TRUE(e2.run(s2).valid());
   const auto asc_msgs = e2.stats().total_sent;
 
   EXPECT_GT(desc_msgs, static_cast<std::uint64_t>(n) * n / 4);
@@ -59,9 +61,10 @@ TEST(ChangRoberts, AverageCaseIsNLogN) {
   for (std::uint64_t seed = 0; seed < trials; ++seed) {
     const auto protocol = ChangRobertsProtocol::random(n, seed);
     RingEngine engine(n, seed);
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    ASSERT_TRUE(engine.run(std::move(s)).valid());
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
+    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+    ASSERT_TRUE(engine.run(s).valid());
     total += static_cast<double>(engine.stats().total_sent);
   }
   const double avg = total / trials;
@@ -87,9 +90,10 @@ TEST(Peterson, WorstCaseMessagesAreNLogN) {
     for (std::uint64_t seed = 0; seed < 15; ++seed) {
       const auto protocol = PetersonProtocol::random(n, seed);
       RingEngine engine(n, seed);
-      std::vector<std::unique_ptr<RingStrategy>> s;
-      for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-      ASSERT_TRUE(engine.run(std::move(s)).valid());
+      StrategyArena arena;
+      std::vector<RingStrategy*> s;
+      for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+      ASSERT_TRUE(engine.run(s).valid());
       worst = std::max(worst, engine.stats().total_sent);
     }
     const double bound = 2.0 * n * (std::log2(n) + 2) + n;
@@ -103,9 +107,10 @@ TEST(Classical, FairProtocolsCostQuadraticallyMore) {
   const int n = 128;
   const auto cr = ChangRobertsProtocol::random(n, 3);
   RingEngine e(n, 3);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (ProcessorId p = 0; p < n; ++p) s.push_back(cr.make_strategy(p, n));
-  ASSERT_TRUE(e.run(std::move(s)).valid());
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  for (ProcessorId p = 0; p < n; ++p) s.push_back(cr.emplace_strategy(arena, p, n));
+  ASSERT_TRUE(e.run(s).valid());
   EXPECT_LT(e.stats().total_sent, static_cast<std::uint64_t>(n) * n / 4);
 }
 

@@ -47,10 +47,11 @@ class Recorder final : public RingStrategy {
 TEST(Engine, FifoOrderOnLink) {
   std::vector<Value> received;
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BurstThenStop>(5, 0));  // p0 sends 0..4 to p1
-  s.push_back(std::make_unique<Recorder>(&received, 5, 0));
-  const Outcome o = engine.run(std::move(s));
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<BurstThenStop>(5, 0));  // p0 sends 0..4 to p1
+  s.push_back(arena.emplace<Recorder>(&received, 5, 0));
+  const Outcome o = engine.run(s);
   ASSERT_EQ(received, (std::vector<Value>{0, 1, 2, 3, 4}));
   // p1 terminated with 0; p0 terminated on the message p1 sent? p1 sent
   // nothing, so p0 never terminates => FAIL.
@@ -64,9 +65,10 @@ TEST(Engine, OutcomeValidWhenAllAgree) {
     void on_receive(RingContext& ctx, Value) override { ctx.terminate(2); }
   };
   RingEngine engine(3, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (int i = 0; i < 3; ++i) s.push_back(std::make_unique<Agree>());
-  EXPECT_EQ(engine.run(std::move(s)), Outcome::elected(2));
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  for (int i = 0; i < 3; ++i) s.push_back(arena.emplace<Agree>());
+  EXPECT_EQ(engine.run(s), Outcome::elected(2));
 }
 
 TEST(Engine, OutcomeFailsOnDisagreement) {
@@ -78,9 +80,10 @@ TEST(Engine, OutcomeFailsOnDisagreement) {
     }
   };
   RingEngine engine(3, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (int i = 0; i < 3; ++i) s.push_back(std::make_unique<OutputOwnId>());
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  for (int i = 0; i < 3; ++i) s.push_back(arena.emplace<OutputOwnId>());
+  EXPECT_TRUE(engine.run(s).failed());
 }
 
 TEST(Engine, OutcomeFailsOnAbort) {
@@ -90,10 +93,11 @@ TEST(Engine, OutcomeFailsOnAbort) {
     void on_receive(RingContext& ctx, Value) override { ctx.abort(); }
   };
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<Aborter>());
-  s.push_back(std::make_unique<Aborter>());
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<Aborter>());
+  s.push_back(arena.emplace<Aborter>());
+  EXPECT_TRUE(engine.run(s).failed());
 }
 
 TEST(Engine, OutcomeFailsOnOutOfRangeOutput) {
@@ -105,18 +109,20 @@ TEST(Engine, OutcomeFailsOnOutOfRangeOutput) {
     }
   };
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BigOutput>());
-  s.push_back(std::make_unique<BigOutput>());
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<BigOutput>());
+  s.push_back(arena.emplace<BigOutput>());
+  EXPECT_TRUE(engine.run(s).failed());
 }
 
 TEST(Engine, QuiescenceWithoutTerminationFails) {
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<Forwarder>());  // nobody ever sends first
-  s.push_back(std::make_unique<Forwarder>());
-  const Outcome o = engine.run(std::move(s));
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<Forwarder>());  // nobody ever sends first
+  s.push_back(arena.emplace<Forwarder>());
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_EQ(engine.stats().deliveries, 0u);
   EXPECT_FALSE(engine.stats().step_limit_hit);
@@ -126,13 +132,14 @@ TEST(Engine, StepLimitStopsInfiniteForwarding) {
   EngineOptions options;
   options.step_limit = 500;
   RingEngine engine(2, 1, std::move(options));
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BurstThenStop>(1));  // seeds one message...
-  s.push_back(std::make_unique<Forwarder>());       // ...that circulates forever
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<BurstThenStop>(1));  // seeds one message...
+  s.push_back(arena.emplace<Forwarder>());       // ...that circulates forever
   // p0 terminates on first receive; p1 keeps forwarding to p0 whose inbox
   // drains into a terminated processor; execution quiesces... unless p0's
   // termination happens late.  Either way the engine must stop.
-  const Outcome o = engine.run(std::move(s));
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.failed());
 }
 
@@ -145,10 +152,11 @@ TEST(Engine, StepLimitHitFlagOnRunaway) {
   EngineOptions options;
   options.step_limit = 100;
   RingEngine engine(2, 1, std::move(options));
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<PingPong>());
-  s.push_back(std::make_unique<PingPong>());
-  const Outcome o = engine.run(std::move(s));
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<PingPong>());
+  s.push_back(arena.emplace<PingPong>());
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_TRUE(engine.stats().step_limit_hit);
   EXPECT_EQ(engine.stats().deliveries, 100u);
@@ -165,10 +173,11 @@ TEST(Engine, MessagesToTerminatedProcessorsVanish) {
     }
   };
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BurstThenStop>(3, 1));  // p0: sends 3, stops on recv
-  s.push_back(std::make_unique<AckOnceThenStop>());    // p1: ack, stop after 1
-  const Outcome o = engine.run(std::move(s));
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<BurstThenStop>(3, 1));  // p0: sends 3, stops on recv
+  s.push_back(arena.emplace<AckOnceThenStop>());    // p1: ack, stop after 1
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.valid());  // both terminated with output 1
   EXPECT_EQ(o.leader(), 1u);
   EXPECT_EQ(engine.stats().received[1], 1u);  // 2 burst messages vanished
@@ -184,10 +193,11 @@ TEST(Engine, SendAfterTerminateThrows) {
     void on_receive(RingContext&, Value) override {}
   };
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<Bad>());
-  s.push_back(std::make_unique<Forwarder>());
-  EXPECT_THROW(engine.run(std::move(s)), std::logic_error);
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<Bad>());
+  s.push_back(arena.emplace<Forwarder>());
+  EXPECT_THROW(engine.run(s), std::logic_error);
 }
 
 TEST(Engine, DoubleTerminateThrows) {
@@ -200,10 +210,11 @@ TEST(Engine, DoubleTerminateThrows) {
     void on_receive(RingContext&, Value) override {}
   };
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<Bad>());
-  s.push_back(std::make_unique<Forwarder>());
-  EXPECT_THROW(engine.run(std::move(s)), std::logic_error);
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<Bad>());
+  s.push_back(arena.emplace<Forwarder>());
+  EXPECT_THROW(engine.run(s), std::logic_error);
 }
 
 TEST(Engine, RejectsTooSmallRings) {
@@ -212,9 +223,10 @@ TEST(Engine, RejectsTooSmallRings) {
 
 TEST(Engine, RejectsWrongStrategyCount) {
   RingEngine engine(3, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<Forwarder>());
-  EXPECT_THROW(engine.run(std::move(s)), std::invalid_argument);
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<Forwarder>());
+  EXPECT_THROW(engine.run(s), std::invalid_argument);
 }
 
 TEST(Engine, ObserverSeesEveryDelivery) {
@@ -226,10 +238,11 @@ TEST(Engine, ObserverSeesEveryDelivery) {
   };
   RingEngine engine(2, 1, std::move(options));
   std::vector<Value> received;
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BurstThenStop>(4, 0));
-  s.push_back(std::make_unique<Recorder>(&received, 4, 0));
-  (void)engine.run(std::move(s));
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<BurstThenStop>(4, 0));
+  s.push_back(arena.emplace<Recorder>(&received, 4, 0));
+  (void)engine.run(s);
   EXPECT_EQ(observed, engine.stats().deliveries);
   EXPECT_GE(observed, 4u);
 }
@@ -238,10 +251,11 @@ TEST(Engine, SyncGapTracksSpread) {
   // p0 bursts 10 messages while p1 answers nothing: gap 10.
   RingEngine engine(2, 1);
   std::vector<Value> received;
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BurstThenStop>(10, 0));
-  s.push_back(std::make_unique<Recorder>(&received, 10, 0));
-  (void)engine.run(std::move(s));
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<BurstThenStop>(10, 0));
+  s.push_back(arena.emplace<Recorder>(&received, 10, 0));
+  (void)engine.run(s);
   EXPECT_EQ(engine.stats().max_sync_gap, 10u);
 }
 

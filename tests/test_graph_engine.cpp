@@ -53,11 +53,12 @@ class GraphRecorder final : public GraphStrategy {
 TEST(GraphEngine, PerLinkFifoOrder) {
   std::vector<std::pair<ProcessorId, Value>> received;
   GraphEngine engine(3, 1);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<GraphBurst>(2, 4));
-  s.push_back(std::make_unique<GraphBurst>(2, 4));
-  s.push_back(std::make_unique<GraphRecorder>(&received, 8));
-  const Outcome o = engine.run(std::move(s));
+  StrategyArena arena;
+  std::vector<GraphStrategy*> s;
+  s.push_back(arena.emplace<GraphBurst>(2, 4));
+  s.push_back(arena.emplace<GraphBurst>(2, 4));
+  s.push_back(arena.emplace<GraphRecorder>(&received, 8));
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.valid());
   // Per-sender subsequences must be 0,1,2,3 in order.
   for (ProcessorId sender : {0, 1}) {
@@ -81,11 +82,12 @@ TEST(GraphEngine, AdjacencyRestrictionEnforced) {
     void on_init(GraphContext& ctx) override { ctx.send(2, {1}); }
     void on_receive(GraphContext&, ProcessorId, GraphPayload) override {}
   };
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<SendToForbidden>());
-  s.push_back(std::make_unique<SendToForbidden>());
-  s.push_back(std::make_unique<SendToForbidden>());
-  EXPECT_THROW(engine.run(std::move(s)), std::invalid_argument);
+  StrategyArena arena;
+  std::vector<GraphStrategy*> s;
+  s.push_back(arena.emplace<SendToForbidden>());
+  s.push_back(arena.emplace<SendToForbidden>());
+  s.push_back(arena.emplace<SendToForbidden>());
+  EXPECT_THROW(engine.run(s), std::invalid_argument);
 }
 
 TEST(GraphEngine, SelfSendRejected) {
@@ -95,10 +97,11 @@ TEST(GraphEngine, SelfSendRejected) {
     void on_init(GraphContext& ctx) override { ctx.send(ctx.id(), {1}); }
     void on_receive(GraphContext&, ProcessorId, GraphPayload) override {}
   };
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<SelfSend>());
-  s.push_back(std::make_unique<SelfSend>());
-  EXPECT_THROW(engine.run(std::move(s)), std::invalid_argument);
+  StrategyArena arena;
+  std::vector<GraphStrategy*> s;
+  s.push_back(arena.emplace<SelfSend>());
+  s.push_back(arena.emplace<SelfSend>());
+  EXPECT_THROW(engine.run(s), std::invalid_argument);
 }
 
 TEST(GraphEngine, QuiescenceWithoutTerminationFails) {
@@ -107,9 +110,10 @@ TEST(GraphEngine, QuiescenceWithoutTerminationFails) {
     void on_receive(GraphContext&, ProcessorId, GraphPayload) override {}
   };
   GraphEngine engine(3, 1);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  for (int i = 0; i < 3; ++i) s.push_back(std::make_unique<Silent>());
-  const Outcome o = engine.run(std::move(s));
+  StrategyArena arena;
+  std::vector<GraphStrategy*> s;
+  for (int i = 0; i < 3; ++i) s.push_back(arena.emplace<Silent>());
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_EQ(engine.stats().deliveries, 0u);
 }
@@ -127,10 +131,11 @@ TEST(GraphEngine, StepLimitStopsPingPong) {
   GraphEngineOptions options;
   options.step_limit = 64;
   GraphEngine engine(2, 1, std::move(options));
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<PingPong>());
-  s.push_back(std::make_unique<PingPong>());
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  StrategyArena arena;
+  std::vector<GraphStrategy*> s;
+  s.push_back(arena.emplace<PingPong>());
+  s.push_back(arena.emplace<PingPong>());
+  EXPECT_TRUE(engine.run(s).failed());
   EXPECT_TRUE(engine.stats().step_limit_hit);
 }
 
@@ -149,10 +154,11 @@ TEST(GraphEngine, MessagesToTerminatedVanish) {
     void on_receive(GraphContext&, ProcessorId, GraphPayload) override {}
   };
   GraphEngine engine(2, 1);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<Sender>());
-  s.push_back(std::make_unique<StopImmediately>());
-  const Outcome o = engine.run(std::move(s));
+  StrategyArena arena;
+  std::vector<GraphStrategy*> s;
+  s.push_back(arena.emplace<Sender>());
+  s.push_back(arena.emplace<StopImmediately>());
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.valid());
   EXPECT_EQ(engine.stats().received[1], 0u);
 }
@@ -160,10 +166,11 @@ TEST(GraphEngine, MessagesToTerminatedVanish) {
 TEST(GraphEngine, CountsSentAndReceived) {
   std::vector<std::pair<ProcessorId, Value>> received;
   GraphEngine engine(2, 1);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<GraphBurst>(1, 5));
-  s.push_back(std::make_unique<GraphRecorder>(&received, 5));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  StrategyArena arena;
+  std::vector<GraphStrategy*> s;
+  s.push_back(arena.emplace<GraphBurst>(1, 5));
+  s.push_back(arena.emplace<GraphRecorder>(&received, 5));
+  ASSERT_TRUE(engine.run(s).valid());
   EXPECT_EQ(engine.stats().sent[0], 5u);
   EXPECT_EQ(engine.stats().received[1], 5u);
 }
@@ -216,11 +223,12 @@ TEST(GraphEngine, ResentPayloadSurvivesSlabGrowth) {
 
   std::vector<std::vector<Value>> echoes;
   GraphEngine engine(3, 1);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<Source>(&original));
-  s.push_back(std::make_unique<Relay>());
-  s.push_back(std::make_unique<Sink>(&echoes));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  StrategyArena arena;
+  std::vector<GraphStrategy*> s;
+  s.push_back(arena.emplace<Source>(&original));
+  s.push_back(arena.emplace<Relay>());
+  s.push_back(arena.emplace<Sink>(&echoes));
+  ASSERT_TRUE(engine.run(s).valid());
   ASSERT_EQ(echoes.size(), 2u);
   EXPECT_EQ(echoes[0], original);
   EXPECT_EQ(echoes[1], original);

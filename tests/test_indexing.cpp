@@ -39,9 +39,10 @@ TEST(Indexing, AddsExactlyNMessages) {
   auto inner = std::make_shared<ALeadUniProtocol>();
   IndexingProtocol protocol(inner);
   RingEngine engine(n, 5);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+  ASSERT_TRUE(engine.run(s).valid());
   EXPECT_EQ(engine.stats().total_sent,
             static_cast<std::uint64_t>(n) * n + static_cast<std::uint64_t>(n));
 }

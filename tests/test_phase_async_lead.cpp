@@ -27,9 +27,10 @@ TEST(PhaseAsyncLead, HonestMessageCountIsTwoNSquared) {
   for (int n : {2, 3, 5, 8, 21}) {
     PhaseAsyncLeadProtocol protocol(n, 0xabcull);
     RingEngine engine(n, 55, EngineOptions{});
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    const Outcome o = engine.run(std::move(s));
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
+    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+    const Outcome o = engine.run(s);
     ASSERT_TRUE(o.valid()) << "n=" << n;
     EXPECT_EQ(engine.stats().total_sent,
               2ull * static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n))
@@ -102,9 +103,10 @@ TEST(PhaseAsyncLead, HonestExecutionIsTightlySynchronized) {
   for (int n : {8, 32, 64}) {
     PhaseAsyncLeadProtocol protocol(n, 0x777ull);
     RingEngine engine(n, 9);
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    ASSERT_TRUE(engine.run(std::move(s)).valid());
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
+    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+    ASSERT_TRUE(engine.run(s).valid());
     EXPECT_LE(engine.stats().max_sync_gap, 3u) << "n=" << n;
   }
 }
@@ -114,8 +116,8 @@ TEST(PhaseAsyncLead, HonestExecutionIsTightlySynchronized) {
 /// Honest phase strategy except one validation forward is corrupted.
 class CorruptValidationStrategy final : public RingStrategy {
  public:
-  CorruptValidationStrategy(std::unique_ptr<RingStrategy> inner, int corrupt_at)
-      : inner_(std::move(inner)), corrupt_at_(corrupt_at) {}
+  CorruptValidationStrategy(RingStrategy* inner, int corrupt_at)
+      : inner_(inner), corrupt_at_(corrupt_at) {}
 
   void on_init(RingContext& ctx) override { inner_->on_init(ctx); }
   void on_receive(RingContext& ctx, Value v) override {
@@ -128,7 +130,7 @@ class CorruptValidationStrategy final : public RingStrategy {
   }
 
  private:
-  std::unique_ptr<RingStrategy> inner_;
+  RingStrategy* inner_;  ///< the honest strategy, in the same arena
   int corrupt_at_;
   int events_ = 0;
 };
@@ -140,16 +142,17 @@ TEST(PhaseAsyncLead, CorruptedTrafficFailsExecution) {
   // must surface as FAIL (either a validator or the data return catches it).
   for (int corrupt_at : {1, 2, 3, 6, 9, 12, 15}) {
     RingEngine engine(n, 77 + corrupt_at);
-    std::vector<std::unique_ptr<RingStrategy>> s;
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
     for (ProcessorId p = 0; p < n; ++p) {
       if (p == 5) {
-        s.push_back(std::make_unique<CorruptValidationStrategy>(protocol.make_strategy(p, n),
-                                                                corrupt_at));
+        s.push_back(arena.emplace<CorruptValidationStrategy>(
+            protocol.emplace_strategy(arena, p, n), corrupt_at));
       } else {
-        s.push_back(protocol.make_strategy(p, n));
+        s.push_back(protocol.emplace_strategy(arena, p, n));
       }
     }
-    EXPECT_TRUE(engine.run(std::move(s)).failed()) << "corrupt_at=" << corrupt_at;
+    EXPECT_TRUE(engine.run(s).failed()) << "corrupt_at=" << corrupt_at;
   }
 }
 
@@ -160,22 +163,24 @@ TEST(PhaseAsyncLead, SilentProcessorCausesFail) {
     void on_receive(RingContext&, Value) override {}
   };
   RingEngine engine(n, 5);
-  std::vector<std::unique_ptr<RingStrategy>> s;
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == 3) {
-      s.push_back(std::make_unique<Silent>());
+      s.push_back(arena.emplace<Silent>());
     } else {
-      s.push_back(protocol.make_strategy(p, n));
+      s.push_back(protocol.emplace_strategy(arena, p, n));
     }
   }
-  const Outcome o = engine.run(std::move(s));
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_FALSE(engine.stats().step_limit_hit);  // quiescence, not runaway
 }
 
 TEST(PhaseAsyncLead, RingSizeMismatchThrows) {
   PhaseAsyncLeadProtocol protocol(8, 1);
-  EXPECT_THROW((void)protocol.make_strategy(0, 9), std::invalid_argument);
+  StrategyArena arena;
+  EXPECT_THROW((void)protocol.emplace_strategy(arena, 0, 9), std::invalid_argument);
 }
 
 }  // namespace

@@ -231,9 +231,10 @@ TEST(ShamirLead, MessageComplexityIsThreeNSquared) {
   const int n = 8;
   ShamirLeadProtocol protocol(n);
   GraphEngine engine(n, 3);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  StrategyArena arena;
+  std::vector<GraphStrategy*> s;
+  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+  ASSERT_TRUE(engine.run(s).valid());
   EXPECT_EQ(engine.stats().total_sent, 3ull * n * (n - 1));
 }
 
@@ -307,8 +308,8 @@ class ShiftingContext final : public GraphContext {
 /// ShiftingContext.
 class ShiftingStrategy final : public GraphStrategy {
  public:
-  ShiftingStrategy(std::unique_ptr<GraphStrategy> honest, ShamirTag tag, Value shift)
-      : honest_(std::move(honest)), tag_(tag), shift_(shift) {}
+  ShiftingStrategy(GraphStrategy* honest, ShamirTag tag, Value shift)
+      : honest_(honest), tag_(tag), shift_(shift) {}
 
   void on_init(GraphContext& ctx) override {
     ShiftingContext shifted(ctx, tag_, shift_);
@@ -320,7 +321,7 @@ class ShiftingStrategy final : public GraphStrategy {
   }
 
  private:
-  std::unique_ptr<GraphStrategy> honest_;
+  GraphStrategy* honest_;  ///< the honest strategy, in the same arena
   ShamirTag tag_;
   Value shift_;
 };
@@ -335,13 +336,13 @@ TEST(ShamirLead, NonCanonicalFieldWordsAbort) {
   for (const ShamirTag tag : {ShamirTag::kShare, ShamirTag::kReveal}) {
     for (const Value shift : {Value{0}, Fp::kP}) {
       GraphEngine engine(n, 41);
-      std::vector<std::unique_ptr<GraphStrategy>> s;
+      StrategyArena arena;
+      std::vector<GraphStrategy*> s;
       for (ProcessorId p = 0; p < n; ++p) {
-        auto honest = protocol.make_strategy(p, n);
-        s.push_back(p == 2 ? std::make_unique<ShiftingStrategy>(std::move(honest), tag, shift)
-                           : std::move(honest));
+        GraphStrategy* honest = protocol.emplace_strategy(arena, p, n);
+        s.push_back(p == 2 ? arena.emplace<ShiftingStrategy>(honest, tag, shift) : honest);
       }
-      const Outcome o = engine.run(std::move(s));
+      const Outcome o = engine.run(s);
       EXPECT_EQ(o.failed(), shift != 0) << "tag " << static_cast<Value>(tag);
     }
   }
@@ -360,7 +361,10 @@ TEST_P(ShamirAttackBoundary, RushingControlsAboveT) {
   ASSERT_TRUE(deviation.reconstruction_possible());
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     GraphEngine engine(n, seed);
-    const Outcome o = engine.run(compose_graph_strategies(protocol, &deviation, n));
+    StrategyArena arena;
+    std::vector<GraphStrategy*> profile;
+    compose_profile_into(protocol, &deviation, n, arena, profile);
+    const Outcome o = engine.run(profile);
     ASSERT_TRUE(o.valid()) << seed;
     EXPECT_EQ(o.leader(), w) << seed;
   }
@@ -378,7 +382,10 @@ TEST_P(ShamirAttackBoundary, RushingHarmlessBelowT) {
   const int trials = 30;
   for (std::uint64_t seed = 0; seed < trials; ++seed) {
     GraphEngine engine(n, seed * 13 + 5);
-    const Outcome o = engine.run(compose_graph_strategies(protocol, &deviation, n));
+    StrategyArena arena;
+    std::vector<GraphStrategy*> profile;
+    compose_profile_into(protocol, &deviation, n, arena, profile);
+    const Outcome o = engine.run(profile);
     ASSERT_TRUE(o.valid()) << seed;  // attack stays undetected, just useless
     hits += (o.leader() == w) ? 1 : 0;
   }
@@ -394,7 +401,10 @@ TEST_P(ShamirAttackBoundary, ForgingControlsAtCeilHalf) {
   ASSERT_TRUE(deviation.forging_possible());
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     GraphEngine engine(n, seed + 17);
-    const Outcome o = engine.run(compose_graph_strategies(protocol, &deviation, n));
+    StrategyArena arena;
+    std::vector<GraphStrategy*> profile;
+    compose_profile_into(protocol, &deviation, n, arena, profile);
+    const Outcome o = engine.run(profile);
     ASSERT_TRUE(o.valid()) << seed;
     EXPECT_EQ(o.leader(), w) << seed;
   }
@@ -417,7 +427,10 @@ TEST_P(ShamirAttackBoundary, ForgingDetectedBelowCeilHalf) {
   const std::size_t trials = 24;
   for (std::uint64_t seed = 0; seed < trials; ++seed) {
     GraphEngine engine(n, seed * 97 + 31);
-    const Outcome o = engine.run(compose_graph_strategies(protocol, &deviation, n));
+    StrategyArena arena;
+    std::vector<GraphStrategy*> profile;
+    compose_profile_into(protocol, &deviation, n, arena, profile);
+    const Outcome o = engine.run(profile);
     if (o.failed()) {
       ++fails;
     } else {

@@ -35,10 +35,11 @@ TEST(SyncEngine, RoundsDeliverSimultaneously) {
   };
   std::vector<int> log;
   SyncEngine engine(2, 1);
-  std::vector<std::unique_ptr<SyncStrategy>> s;
-  s.push_back(std::make_unique<Probe>(&log));
-  s.push_back(std::make_unique<Probe>(&log));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  StrategyArena arena;
+  std::vector<SyncStrategy*> s;
+  s.push_back(arena.emplace<Probe>(&log));
+  s.push_back(arena.emplace<Probe>(&log));
+  ASSERT_TRUE(engine.run(s).valid());
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0], 2);
 }
@@ -53,9 +54,10 @@ TEST(SyncEngine, RoundLimitStopsSpinners) {
   SyncEngineOptions options;
   options.round_limit = 10;
   SyncEngine engine(3, 1, options);
-  std::vector<std::unique_ptr<SyncStrategy>> s;
-  for (int i = 0; i < 3; ++i) s.push_back(std::make_unique<Spinner>());
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  StrategyArena arena;
+  std::vector<SyncStrategy*> s;
+  for (int i = 0; i < 3; ++i) s.push_back(arena.emplace<Spinner>());
+  EXPECT_TRUE(engine.run(s).failed());
   EXPECT_TRUE(engine.stats().round_limit_hit);
 }
 
@@ -93,9 +95,10 @@ TEST(SyncEngine, PayloadsAreCopiedIntoTheRoundSlab) {
   };
   std::vector<std::vector<Value>> seen;
   SyncEngine engine(3, 1);
-  std::vector<std::unique_ptr<SyncStrategy>> s;
-  for (int p = 0; p < 3; ++p) s.push_back(std::make_unique<Relay>(&seen));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  StrategyArena arena;
+  std::vector<SyncStrategy*> s;
+  for (int p = 0; p < 3; ++p) s.push_back(arena.emplace<Relay>(&seen));
+  ASSERT_TRUE(engine.run(s).valid());
   const std::vector<std::vector<Value>> expected = {
       {2, 0, 5}, {3, 1, 7, 8, 9}, {3, 1, 1, 2}};  // (round, sender, words...)
   EXPECT_EQ(seen, expected);
@@ -221,15 +224,16 @@ TEST(SyncBroadcastLead, LateBroadcasterIsDetected) {
   SyncBroadcastLeadProtocol protocol;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     SyncEngine engine(n, seed);
-    std::vector<std::unique_ptr<SyncStrategy>> s;
+    StrategyArena arena;
+    std::vector<SyncStrategy*> s;
     for (ProcessorId p = 0; p < n; ++p) {
       if (p == 3) {
-        s.push_back(std::make_unique<LateBroadcaster>());
+        s.push_back(arena.emplace<LateBroadcaster>());
       } else {
-        s.push_back(protocol.make_strategy(p, n));
+        s.push_back(protocol.emplace_strategy(arena, p, n));
       }
     }
-    EXPECT_TRUE(engine.run(std::move(s)).failed()) << seed;
+    EXPECT_TRUE(engine.run(s).failed()) << seed;
   }
 }
 
@@ -263,15 +267,16 @@ TEST(SyncBroadcastLead, NMinusOneColludersGainNothing) {
   const int trials = 3000;
   for (int t = 0; t < trials; ++t) {
     SyncEngine engine(n, static_cast<std::uint64_t>(t) * 17 + 3);
-    std::vector<std::unique_ptr<SyncStrategy>> s;
+    StrategyArena arena;
+    std::vector<SyncStrategy*> s;
     for (ProcessorId p = 0; p < n; ++p) {
       if (p == 2) {
-        s.push_back(protocol.make_strategy(p, n));  // the lone honest one
+        s.push_back(protocol.emplace_strategy(arena, p, n));  // the lone honest one
       } else {
-        s.push_back(std::make_unique<BlindFixedValue>(static_cast<Value>(p)));
+        s.push_back(arena.emplace<BlindFixedValue>(static_cast<Value>(p)));
       }
     }
-    const Outcome o = engine.run(std::move(s));
+    const Outcome o = engine.run(s);
     ASSERT_TRUE(o.valid());
     ++counts[static_cast<std::size_t>(o.leader())];
   }
@@ -290,15 +295,16 @@ TEST(SyncRingLead, SilentProcessorDetected) {
     }
   };
   SyncEngine engine(n, 9);
-  std::vector<std::unique_ptr<SyncStrategy>> s;
+  StrategyArena arena;
+  std::vector<SyncStrategy*> s;
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == 4) {
-      s.push_back(std::make_unique<Silent>());
+      s.push_back(arena.emplace<Silent>());
     } else {
-      s.push_back(protocol.make_strategy(p, n));
+      s.push_back(protocol.emplace_strategy(arena, p, n));
     }
   }
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  EXPECT_TRUE(engine.run(s).failed());
 }
 
 TEST(SyncRingLead, DoubleSenderDetected) {
@@ -317,15 +323,16 @@ TEST(SyncRingLead, DoubleSenderDetected) {
     }
   };
   SyncEngine engine(n, 4);
-  std::vector<std::unique_ptr<SyncStrategy>> s;
+  StrategyArena arena;
+  std::vector<SyncStrategy*> s;
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == 1) {
-      s.push_back(std::make_unique<DoubleSender>());
+      s.push_back(arena.emplace<DoubleSender>());
     } else {
-      s.push_back(protocol.make_strategy(p, n));
+      s.push_back(protocol.emplace_strategy(arena, p, n));
     }
   }
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  EXPECT_TRUE(engine.run(s).failed());
 }
 
 }  // namespace

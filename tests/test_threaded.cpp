@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/scenario.h"
 #include "attacks/basic_single.h"
 #include "attacks/coalition.h"
 #include "attacks/cubic.h"
@@ -13,6 +14,7 @@
 #include "protocols/phase_async_lead.h"
 #include "sim/engine.h"
 #include "sim/threaded_runtime.h"
+#include "verify/fuzzer.h"
 
 namespace fle {
 namespace {
@@ -51,13 +53,29 @@ TEST(Threaded, LargeRingStress) {
   EXPECT_EQ(o, run_honest(protocol, n, 4242));
 }
 
+TEST(Threaded, IndexingMatchesTheRingPerTrial) {
+  // IndexingStrategy builds its inner strategy mid-run in the arena it was
+  // emplaced in, so on real threads every processor has an arena of its
+  // own; the per-trial outcomes still match the deterministic ring's.
+  const ScenarioSpec threaded =
+      verify::parse_spec("topology=threaded protocol=indexing+alead-uni n=8 trials=40 record=1");
+  ScenarioSpec ring = threaded;
+  ring.topology = TopologyKind::kRing;
+  const ScenarioResult a = run_scenario(threaded);
+  const ScenarioResult b = run_scenario(ring);
+  ASSERT_EQ(a.per_trial.size(), 40u);
+  EXPECT_EQ(a.per_trial, b.per_trial);
+  EXPECT_EQ(a.outcomes.fails(), 0u);
+}
+
 TEST(Threaded, MessageCountsMatch) {
   const int n = 12;
   ALeadUniProtocol protocol;
   ThreadedRuntime runtime(n, 7);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-  ASSERT_TRUE(runtime.run(std::move(s)).valid());
+  std::vector<StrategyArena> arenas(n);  // one per processor thread
+  std::vector<RingStrategy*> s;
+  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arenas[p], p, n));
+  ASSERT_TRUE(runtime.run(s).valid());
   EXPECT_EQ(runtime.stats().total_sent, static_cast<std::uint64_t>(n) * n);
 }
 
@@ -66,9 +84,10 @@ TEST(Threaded, QuiescenceDetectedOnSilentRing) {
     void on_receive(RingContext&, Value) override {}
   };
   ThreadedRuntime runtime(4, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (int i = 0; i < 4; ++i) s.push_back(std::make_unique<Silent>());
-  const Outcome o = runtime.run(std::move(s));
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  for (int i = 0; i < 4; ++i) s.push_back(arena.emplace<Silent>());
+  const Outcome o = runtime.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_TRUE(runtime.stats().quiesced);
   EXPECT_FALSE(runtime.stats().wall_timeout_hit);
@@ -82,15 +101,16 @@ TEST(Threaded, QuiescenceDetectedMidProtocol) {
     void on_receive(RingContext&, Value) override {}
   };
   ThreadedRuntime runtime(n, 3);
-  std::vector<std::unique_ptr<RingStrategy>> s;
+  std::vector<StrategyArena> arenas(n);
+  std::vector<RingStrategy*> s;
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == 2) {
-      s.push_back(std::make_unique<BlackHole>());
+      s.push_back(arenas[p].emplace<BlackHole>());
     } else {
-      s.push_back(protocol.make_strategy(p, n));
+      s.push_back(protocol.emplace_strategy(arenas[p], p, n));
     }
   }
-  const Outcome o = runtime.run(std::move(s));
+  const Outcome o = runtime.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_TRUE(runtime.stats().quiesced);
 }
@@ -104,10 +124,11 @@ TEST(Threaded, SendLimitStopsRunaways) {
   ThreadedRuntimeOptions options;
   options.send_limit = 200;
   ThreadedRuntime runtime(2, 1, options);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<PingPong>());
-  s.push_back(std::make_unique<PingPong>());
-  const Outcome o = runtime.run(std::move(s));
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  s.push_back(arena.emplace<PingPong>());
+  s.push_back(arena.emplace<PingPong>());
+  const Outcome o = runtime.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_TRUE(runtime.stats().send_limit_hit);
 }
@@ -118,7 +139,10 @@ TEST(Threaded, AttacksWorkOnRealThreads) {
     BasicLeadProtocol protocol;
     BasicSingleDeviation deviation(n, 4, 2);
     ThreadedRuntime runtime(n, 11);
-    const Outcome o = runtime.run(compose_strategies(protocol, &deviation, n));
+    std::vector<StrategyArena> arenas(n);
+    std::vector<RingStrategy*> profile;
+    compose_profile_into(protocol, &deviation, n, arenas, profile);
+    const Outcome o = runtime.run(profile);
     ASSERT_TRUE(o.valid());
     EXPECT_EQ(o.leader(), 2u);
   }
@@ -128,7 +152,10 @@ TEST(Threaded, AttacksWorkOnRealThreads) {
     const int k = Coalition::cubic_min_k(n);
     CubicDeviation deviation(Coalition::cubic_staircase(n, k), 7);
     ThreadedRuntime runtime(n, 12);
-    const Outcome o = runtime.run(compose_strategies(protocol, &deviation, n));
+    std::vector<StrategyArena> arenas(n);
+    std::vector<RingStrategy*> profile;
+    compose_profile_into(protocol, &deviation, n, arenas, profile);
+    const Outcome o = runtime.run(profile);
     ASSERT_TRUE(o.valid());
     EXPECT_EQ(o.leader(), 7u);
   }

@@ -19,9 +19,10 @@ TEST(SyncTrace, HonestALeadGapStaysAtOne) {
   EngineOptions options;
   options.observer = trace.observer();
   RingEngine engine(n, 3, std::move(options));
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+  ASSERT_TRUE(engine.run(s).valid());
   EXPECT_LE(trace.max_gap(), 1u);
   EXPECT_FALSE(trace.series().empty());
   for (const auto g : trace.series()) EXPECT_LE(g, 1u);
@@ -40,7 +41,10 @@ TEST(SyncTrace, WatchedSubsetTracksCoalitionDesync) {
   EngineOptions options;
   options.observer = coalition_trace.observer();
   RingEngine engine(n, 5, std::move(options));
-  const Outcome o = engine.run(compose_strategies(protocol, &deviation, n));
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  compose_profile_into(protocol, &deviation, n, arena, profile);
+  const Outcome o = engine.run(profile);
   ASSERT_TRUE(o.valid());
   EXPECT_GT(coalition_trace.max_gap(), static_cast<std::uint64_t>(k));
   EXPECT_LE(coalition_trace.max_gap(), static_cast<std::uint64_t>(2 * k * k));
@@ -57,7 +61,10 @@ TEST(SyncTrace, SeriesIsMonotoneInPrefixMaximum) {
   EngineOptions options;
   options.observer = trace.observer();
   RingEngine engine(n, 6, std::move(options));
-  ASSERT_TRUE(engine.run(compose_strategies(protocol, &deviation, n)).valid());
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  compose_profile_into(protocol, &deviation, n, arena, profile);
+  ASSERT_TRUE(engine.run(profile).valid());
   std::uint64_t series_max = 0;
   for (const auto g : trace.series()) series_max = std::max(series_max, g);
   EXPECT_EQ(series_max, trace.max_gap());
@@ -86,7 +93,10 @@ TEST(SyncTrace, EngineGapAgreesWithFullWatchTrace) {
   EngineOptions options;
   options.observer = trace.observer();
   RingEngine engine(n, 8, std::move(options));
-  ASSERT_TRUE(engine.run(compose_strategies(protocol, &deviation, n)).valid());
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  compose_profile_into(protocol, &deviation, n, arena, profile);
+  ASSERT_TRUE(engine.run(profile).valid());
   // The trace keeps sampling after terminations (counts freeze), so it can
   // only see gaps >= the engine's frozen view.
   EXPECT_GE(trace.max_gap(), engine.stats().max_sync_gap);

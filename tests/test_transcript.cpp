@@ -17,7 +17,6 @@
 #include "fullinfo/turn_game.h"
 #include "protocols/basic_lead.h"
 #include "sim/engine.h"
-#include "sim/trace.h"
 #include "sim/transcript.h"
 #include "verify/shard.h"
 
@@ -246,31 +245,6 @@ TEST(TranscriptCache, DigestModeStillRefusesToEncode) {
   EXPECT_TRUE(t.cached_bytes().empty());
 }
 
-TEST(Transcript, DigestMatchesTheTraceDigestConsumer) {
-  // TraceDigest is a thin consumer of the same stream: an engine-attached
-  // transcript and the observer-driven digest must fingerprint a delivery
-  // sequence identically.
-  const int n = 16;
-  BasicLeadProtocol protocol;
-
-  TraceDigest observer_digest;
-  EngineOptions options;
-  options.observer = observer_digest.observer();
-  RingEngine observed(n, 42, std::move(options));
-  ExecutionTranscript recorded;
-  observed.set_transcript(&recorded);
-  ASSERT_TRUE(observed.run(compose_strategies(protocol, nullptr, n)).valid());
-
-  // The engine-recorded stream adds decision events; its delivery prefix
-  // must fold to what the observer saw.
-  ExecutionTranscript deliveries_only(TranscriptMode::kDigest);
-  for (const TranscriptEvent& e : recorded.events()) {
-    if (e.kind == TranscriptEventKind::kDelivery) deliveries_only.record(e.kind, e.a, e.b, e.c);
-  }
-  EXPECT_EQ(deliveries_only.digest(), observer_digest.value());
-  EXPECT_EQ(deliveries_only.size(), observer_digest.deliveries());
-}
-
 // ---- record -> replay across the four families ------------------------------
 
 ScenarioSpec family_spec(TopologyKind topology, const char* protocol, int n) {
@@ -359,7 +333,12 @@ TEST(TranscriptScenario, FreshEngineMatchesTheReusedWorkspaceCapture) {
     RingEngine fresh(spec.n, scenario_trial_seed(spec.seed, t), std::move(options));
     ExecutionTranscript transcript;
     fresh.set_transcript(&transcript);
-    ASSERT_TRUE(fresh.run(compose_strategies(protocol, nullptr, spec.n)).valid());
+    StrategyArena arena;
+    std::vector<RingStrategy*> profile;
+    for (ProcessorId p = 0; p < spec.n; ++p) {
+      profile.push_back(protocol.emplace_strategy(arena, p, spec.n));
+    }
+    ASSERT_TRUE(fresh.run(profile).valid());
     const auto divergence = Replayer(reused.per_trial_transcript[t]).diff(transcript);
     EXPECT_FALSE(divergence.has_value())
         << "trial " << t << ": " << (divergence ? divergence->what : "");
@@ -408,7 +387,12 @@ TEST(TranscriptReplay, RingScheduleRedriveReproducesTheExecution) {
   record_options.scheduler_kind = SchedulerKind::kRandom;
   RingEngine recorder(n, seed, std::move(record_options));
   recorder.set_transcript(&recorded);
-  const Outcome original = recorder.run(compose_strategies(protocol, nullptr, n));
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  for (ProcessorId p = 0; p < n; ++p) {
+    profile.push_back(protocol.emplace_strategy(arena, p, n));
+  }
+  const Outcome original = recorder.run(profile);
   ASSERT_TRUE(original.valid());
 
   const Replayer replayer(recorded);
@@ -417,7 +401,12 @@ TEST(TranscriptReplay, RingScheduleRedriveReproducesTheExecution) {
   replay_options.scheduler = replayer.ring_schedule();
   RingEngine redriven(n, seed, std::move(replay_options));
   redriven.set_transcript(&replayed);
-  const Outcome outcome = redriven.run(compose_strategies(protocol, nullptr, n));
+  arena.rewind();  // fresh strategies for the re-drive
+  profile.clear();
+  for (ProcessorId p = 0; p < n; ++p) {
+    profile.push_back(protocol.emplace_strategy(arena, p, n));
+  }
+  const Outcome outcome = redriven.run(profile);
   EXPECT_EQ(outcome, original);
   EXPECT_FALSE(replayer.diff(replayed).has_value());
 }
@@ -428,7 +417,12 @@ TEST(TranscriptReplay, RingRedriveDetectsATamperedSchedule) {
   ExecutionTranscript recorded;
   RingEngine recorder(n, 7);
   recorder.set_transcript(&recorded);
-  ASSERT_TRUE(recorder.run(compose_strategies(protocol, nullptr, n)).valid());
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  for (ProcessorId p = 0; p < n; ++p) {
+    profile.push_back(protocol.emplace_strategy(arena, p, n));
+  }
+  ASSERT_TRUE(recorder.run(profile).valid());
 
   // Corrupt one delivery's receiver: the re-drive must either throw (the
   // recorded receiver has nothing pending) or produce a diverging stream.
@@ -451,8 +445,13 @@ TEST(TranscriptReplay, RingRedriveDetectsATamperedSchedule) {
   RingEngine redriven(n, 7, std::move(options));
   redriven.set_transcript(&replayed);
   bool diverged = false;
+  arena.rewind();  // fresh strategies for the re-drive
+  profile.clear();
+  for (ProcessorId p = 0; p < n; ++p) {
+    profile.push_back(protocol.emplace_strategy(arena, p, n));
+  }
   try {
-    redriven.run(compose_strategies(protocol, nullptr, n));
+    redriven.run(profile);
     diverged = replayer.diff(replayed).has_value();
   } catch (const std::runtime_error&) {
     diverged = true;
