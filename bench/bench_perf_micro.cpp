@@ -13,12 +13,14 @@
 //
 // The *Transcripts rows time the canonical report and the store build over
 // a transcript-recording sweep, with and without the transcripts' encoding
-// cache (sim/transcript.h).
+// cache (sim/transcript.h), and the shard-row parse that feeds them; the
+// BM_Sha256Blob pair times the portable and the dispatched SHA-256.
 
 #include <benchmark/benchmark.h>
 
 #include "core/counting_new.inc"
 
+#include <array>
 #include <fstream>
 #include <memory>
 #include <span>
@@ -41,6 +43,7 @@
 #include "protocols/shamir_lead.h"
 #include "protocols/sync_lead.h"
 #include "sim/arena.h"
+#include "sim/digest.h"
 #include "sim/engine.h"
 #include "sim/graph_engine.h"
 #include "sim/lane_engine.h"
@@ -579,6 +582,7 @@ struct TranscriptSweep {
   SweepSpec sweep;
   std::vector<std::string> spec_lines;
   std::vector<ScenarioResult> fresh;
+  std::vector<std::string> rows;  ///< the fresh results as shard rows
   std::vector<ScenarioResult> parsed;
   std::int64_t trials = 0;
 };
@@ -604,7 +608,8 @@ const TranscriptSweep& transcript_sweep() {
       row.case_index = i;
       row.spec_line = out.spec_lines[i];
       row.result = out.fresh[i];
-      out.parsed.push_back(verify::parse_shard_row(verify::format_shard_row(row)).result);
+      out.rows.push_back(verify::format_shard_row(row));
+      out.parsed.push_back(verify::parse_shard_row(out.rows.back()).result);
     }
     return out;
   }();
@@ -650,6 +655,59 @@ void BM_StoreBuildTranscripts(benchmark::State& state, bool parsed) {
 }
 BENCHMARK_CAPTURE(BM_StoreBuildTranscripts, fresh, false);
 BENCHMARK_CAPTURE(BM_StoreBuildTranscripts, parsed, true);
+
+// The fabric driver's serial ingest of the sweep's shard rows: scan the
+// JSON, decode each hex transcript and verify its store_keys cell by
+// re-hashing the blob (items/sec = trials, bytes/sec = row bytes).
+void BM_ParseShardRowTranscripts(benchmark::State& state) {
+  const TranscriptSweep& data = transcript_sweep();
+  std::int64_t bytes = 0;
+  for (const std::string& row : data.rows) bytes += static_cast<std::int64_t>(row.size());
+  for (auto _ : state) {
+    for (const std::string& row : data.rows) {
+      const verify::ShardRow parsed = verify::parse_shard_row(row);
+      benchmark::DoNotOptimize(parsed.result.trials);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * data.trials);
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_ParseShardRowTranscripts);
+
+// ---- SHA-256 (bytes/sec = blob bytes) -----------------------------------
+//
+// One 1,311-byte blob, the mean transcript blob of the fabric-transcripts
+// workload:
+//   portable   — its padded blocks through the portable compression loop;
+//   dispatched — Sha256::of, the compression function this CPU selects
+//                (SHA-NI where cpuid reports it).
+
+void BM_Sha256Blob(benchmark::State& state, bool dispatched) {
+  constexpr std::size_t kBlobBytes = 1311;
+  std::vector<std::uint8_t> blob(kBlobBytes);
+  for (std::size_t i = 0; i < blob.size(); ++i) blob[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  std::vector<std::uint8_t> padded = blob;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>((kBlobBytes * 8) >> shift));
+  }
+  for (auto _ : state) {
+    if (dispatched) {
+      const Digest256 digest = Sha256::of(blob);
+      benchmark::DoNotOptimize(digest.bytes.data());
+    } else {
+      std::array<std::uint32_t, 8> words = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+                                            0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+      detail::sha256_compress_portable(words, padded.data(), padded.size() / 64);
+      benchmark::DoNotOptimize(words.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(kBlobBytes));
+}
+BENCHMARK_CAPTURE(BM_Sha256Blob, portable, false);
+BENCHMARK_CAPTURE(BM_Sha256Blob, dispatched, true);
 
 }  // namespace
 

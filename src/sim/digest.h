@@ -11,9 +11,11 @@
 // sync() between two stores would report them identical.  The store
 // boundary therefore uses SHA-256 (the same choice rippled's SHAMap makes
 // for its "rapid synchronization" trees): 256-bit keys make accidental
-// and adversarial collisions equally irrelevant, and the implementation
-// below is the plain FIPS 180-4 compression function with no external
-// dependency.
+// and adversarial collisions equally irrelevant.  The implementation has
+// no external dependency and two FIPS 180-4 compression functions, chosen
+// once per process from cpuid: the x86 SHA extensions (SHA-NI) where the
+// CPU advertises them, else a portable scalar loop.  Both produce the same
+// digests; the choice only changes speed.
 
 #include <array>
 #include <compare>
@@ -48,9 +50,26 @@ struct Digest256 {
   static std::optional<Digest256> from_hex(std::string_view text);
 };
 
+namespace detail {
+
+/// A SHA-256 compression function: folds `blocks` consecutive 64-byte
+/// message blocks at `data` into `state`.
+using Sha256Compress = void (*)(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                                std::size_t blocks);
+
+/// The portable scalar compression function (any CPU).
+void sha256_compress_portable(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                              std::size_t blocks);
+
+/// The SHA-NI compression function, or nullptr when this CPU lacks the SHA,
+/// SSSE3 or SSE4.1 extensions (or the build does not target x86).  Sha256
+/// uses it whenever it is non-null; exposed so tests can compare the two.
+[[nodiscard]] Sha256Compress sha256_compress_sha_ni();
+
+}  // namespace detail
+
 /// Incremental SHA-256 (FIPS 180-4).  update() may be called any number of
-/// times; finish() pads, finalizes and leaves the object unusable until the
-/// next reset().
+/// times; finish() pads, finalizes and resets the hasher for a new message.
 class Sha256 {
  public:
   Sha256() { reset(); }
@@ -65,8 +84,6 @@ class Sha256 {
   static Digest256 of_string(std::string_view text);
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_bytes_ = 0;

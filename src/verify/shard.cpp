@@ -242,10 +242,13 @@ class FlatJson {
   std::string_view parse_string(std::string_view t, std::size_t& i) {
     expect(t, i, '"');
     const std::size_t start = i;
-    const std::size_t stop = t.find_first_of("\"\\", i);
-    if (stop != std::string_view::npos && t[stop] == '"') {
-      i = stop + 1;
-      return t.substr(start, stop - start);  // no escapes: a view
+    // The first quote, then a backslash only before it: two memchr scans
+    // (a hex transcripts cell is megabytes with neither inside).
+    const std::size_t quote = t.find('"', i);
+    if (quote != std::string_view::npos &&
+        t.substr(start, quote - start).find('\\') == std::string_view::npos) {
+      i = quote + 1;
+      return t.substr(start, quote - start);  // no escapes: a view
     }
     std::string& out = owned_.emplace_back();
     while (i < t.size() && t[i] != '"') {

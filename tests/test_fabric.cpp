@@ -426,6 +426,59 @@ TEST(ShardHardening, MaxRoundsIsRangeCheckedBeforeNarrowing) {
   expect_parse_error(with_value("max_rounds", "0", "2147483648"), "'max_rounds'");
 }
 
+// The string scan finds a value's closing quote first and looks for a
+// backslash only before it; these pin that it unescapes, stops and fails
+// exactly where a byte-by-byte scan would.
+
+TEST(ShardStringScan, EscapesAfterALongUnescapedRunAreDecoded) {
+  const std::string run(5000, 'x');
+  const std::string row =
+      with_value("deviation_name", "\"\"", "\"" + run + R"(\"q\\r\nz")");
+  const verify::ShardRow parsed = verify::parse_shard_row(row);
+  EXPECT_EQ(parsed.result.deviation_name, run + "\"q\\r\nz");
+  EXPECT_EQ(parsed.result.protocol_name, "Basic-LEAD");
+  EXPECT_EQ(verify::format_shard_row(parsed), row);
+}
+
+TEST(ShardStringScan, BackslashAfterTheClosingQuoteIsNotPartOfTheValue) {
+  // A long unescaped value followed by a later value that holds an escape:
+  // the first value ends at its own quote.
+  const std::string run(5000, 'y');
+  std::string row = with_value("protocol_name", "\"Basic-LEAD\"", "\"" + run + "\"");
+  const std::string needle = R"("deviation_name": "")";
+  row.replace(row.find(needle), needle.size(), R"("deviation_name": "a\\b")");
+  const verify::ShardRow parsed = verify::parse_shard_row(row);
+  EXPECT_EQ(parsed.result.protocol_name, run);
+  EXPECT_EQ(parsed.result.deviation_name, "a\\b");
+
+  // A backslash right after a closing quote is a stray byte in the object.
+  std::string stray = kStrictRow;
+  const std::size_t quote = stray.find(R"("Basic-LEAD")") + 11;
+  stray.insert(quote + 1, "\\");
+  expect_parse_error(stray, "shard row: expected '}' at offset " + std::to_string(quote + 1));
+}
+
+TEST(ShardStringScan, UnterminatedStringsFailWithTheirOffset) {
+  const auto expect_exact = [](const std::string& row, const std::string& message) {
+    try {
+      (void)verify::parse_shard_row(row);
+      ADD_FAILURE() << "expected rejection for: " << row;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()), message);
+    }
+  };
+  // No backslash anywhere: the scan runs to the end of the text.
+  const std::string plain = R"({"case": 0, "spec": "topology=ring )" + std::string(3000, 'z');
+  expect_exact(plain, "shard row: expected '\"' at offset " + std::to_string(plain.size()));
+  // An escaped quote is not a closing one.
+  const std::string escaped = R"({"case": 0, "spec": "topology=ring \")";
+  expect_exact(escaped, "shard row: expected '\"' at offset " + std::to_string(escaped.size()));
+  // A backslash as the last byte.
+  expect_exact(R"({"case": 0, "spec": "topology\)", "shard row: dangling escape");
+  // An unknown escape before any closing quote.
+  expect_exact(R"({"case": 0, "spec": "a\tb"})", "shard row: unknown escape '\\t'");
+}
+
 TEST(ShardHardening, MergeNamesOverlapAndGap) {
   ScenarioSpec spec;
   spec.protocol = "basic-lead";

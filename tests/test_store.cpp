@@ -1,15 +1,18 @@
 // The content-addressed transcript store (src/store/): SHA-256 against the
-// FIPS 180-4 vectors, leaf/inner hash preimage goldens, on-disk round-trips
-// and malformed-image rejection, blob dedup counting, and the O(diff) sync
-// contract — identical stores prove equality with zero tree reads, a
-// single tampered trial is localized in depth+1 reads per store.
+// FIPS 180-4 vectors and portable against SHA-NI compression, leaf/inner
+// hash preimage goldens, on-disk round-trips and malformed-image
+// rejection, blob dedup counting, and the O(diff) sync contract —
+// identical stores prove equality with zero tree reads, a single tampered
+// trial is localized in depth+1 reads per store.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,6 +48,76 @@ TEST(Sha256, StreamedUpdatesMatchOneShot) {
   }
   EXPECT_EQ(hasher.finish().hex(),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+/// SHA-256 of `message` through one compression function, padded here
+/// rather than by Sha256::finish(), so the two paddings check each other.
+Digest256 digest_with(detail::Sha256Compress compress, const std::vector<std::uint8_t>& message) {
+  std::vector<std::uint8_t> padded = message;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  std::array<std::uint32_t, 8> state = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+                                        0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+  compress(state, padded.data(), padded.size() / 64);
+  Digest256 out;
+  for (std::size_t i = 0; i < 32; ++i) {
+    out.bytes[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> random_bytes(std::mt19937_64& rng, std::size_t size) {
+  std::vector<std::uint8_t> out(size);
+  for (std::uint8_t& byte : out) byte = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(Sha256, MillionAInOneUpdate) {
+  // FIPS 180-4's long vector through one multi-block call (15,625 blocks).
+  const std::string message(1000000, 'a');
+  const std::string expected = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+  EXPECT_EQ(Sha256::of_string(message).hex(), expected);
+  EXPECT_EQ(digest_with(&detail::sha256_compress_portable,
+                        std::vector<std::uint8_t>(message.begin(), message.end()))
+                .hex(),
+            expected);
+}
+
+TEST(Sha256, PortableMatchesDispatchedAtEveryLengthAndSplit) {
+  std::mt19937_64 rng(20);
+  for (std::size_t length = 0; length <= 1024; ++length) {
+    const std::vector<std::uint8_t> message = random_bytes(rng, length);
+    const Digest256 expected = digest_with(&detail::sha256_compress_portable, message);
+    ASSERT_EQ(Sha256::of(message), expected) << "length " << length;
+
+    // The same bytes through update() at random split points.
+    Sha256 hasher;
+    std::size_t fed = 0;
+    while (fed < length) {
+      const std::size_t take = std::min<std::size_t>(length - fed, rng() % 150);
+      hasher.update(message.data() + fed, take);
+      fed += take;
+    }
+    ASSERT_EQ(hasher.finish(), expected) << "split, length " << length;
+  }
+}
+
+TEST(Sha256, ShaNiMatchesPortableAtEveryLength) {
+  const detail::Sha256Compress hardware = detail::sha256_compress_sha_ni();
+  if (hardware == nullptr) {
+    GTEST_SKIP() << "this CPU lacks SHA-NI (cpuid sha, ssse3 or sse4.1)";
+  }
+  std::mt19937_64 rng(21);
+  for (std::size_t length = 0; length <= 1024; ++length) {
+    const std::vector<std::uint8_t> message = random_bytes(rng, length);
+    ASSERT_EQ(digest_with(hardware, message),
+              digest_with(&detail::sha256_compress_portable, message))
+        << "length " << length;
+  }
 }
 
 TEST(Digest256, HexRoundTripsEitherCase) {
